@@ -1,5 +1,5 @@
 // Chaos soak: the control plane under classical-fabric fault injection
-// (exp::chaos_trial), with four gates:
+// (exp::chaos_trial under exp::chaos_config()), with four gates:
 //   1. per fault profile, the aggregate digest (every scalar + sample)
 //      is bit-identical at --jobs 1, 2 and 4 — the seeded per-channel
 //      fault streams leave no worker-thread trace;
@@ -15,21 +15,20 @@
 //      transport's dead-peer verdicts) converges to the same routed
 //      view as an explicit sever_link of the same link, and the
 //      partition run actually exercised the verdict path.
-// Results land in BENCH_chaos.json; exit status is non-zero when any
-// gate fails.
+// Results land in BENCH_chaos.json (the bench/gate.hpp schema); exit
+// status is non-zero when any gate fails.
 //
 // Flags: --runs=N (trials per point, default 3; quick 1),
 //        --jobs=N / --shards=N (extra sweep values),
 //        --quick (compressed horizons, reduced sweeps), --csv,
 //        --out=PATH (default BENCH_chaos.json).
 #include <algorithm>
-#include <chrono>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "bench/common.hpp"
-#include "exp/chaos.hpp"
+#include "bench/gate.hpp"
+#include "exp/churn.hpp"
 
 using namespace qnetp;
 using namespace qnetp::literals;
@@ -37,27 +36,12 @@ using namespace qnetp::bench;
 
 namespace {
 
-struct SweepPoint {
-  std::string label;
-  std::size_t jobs = 1;
-  std::size_t shards = 1;
-  double seconds = 0.0;
-  std::uint64_t digest = 0;
-  bool digests_match = true;
-  bool clean = true;
-  double slo_mean = 0.0;
-  double retransmits_mean = 0.0;
-  double dead_verdicts_mean = 0.0;
-  double decode_errors_mean = 0.0;
-  /// Sorted per-trial routed-view fingerprints (equivalence gate).
-  std::vector<std::pair<double, double>> views;
-};
-
-exp::ChaosConfig base_config(bool quick) {
-  exp::ChaosConfig cfg;
+exp::ChurnConfig base_config(bool quick) {
+  exp::ChurnConfig cfg = exp::chaos_config();
   cfg.family = exp::TopologyFamily::grid;
   cfg.size = 3;
   cfg.n_circuits = 3;
+  cfg.horizon = 20_s;
   if (quick) {
     cfg.warmup = 2_s;
     cfg.horizon = 6_s;
@@ -66,8 +50,8 @@ exp::ChaosConfig base_config(bool quick) {
   return cfg;
 }
 
-exp::ChaosConfig loss_config(bool quick, double loss) {
-  exp::ChaosConfig cfg = base_config(quick);
+exp::ChurnConfig loss_config(bool quick, double loss) {
+  exp::ChurnConfig cfg = base_config(quick);
   cfg.faults.drop = loss;
   cfg.faults.duplicate = loss;
   cfg.faults.reorder = loss;
@@ -75,8 +59,8 @@ exp::ChaosConfig loss_config(bool quick, double loss) {
   return cfg;
 }
 
-exp::ChaosConfig regions_config(bool quick) {
-  exp::ChaosConfig cfg = base_config(quick);
+exp::ChurnConfig regions_config(bool quick) {
+  exp::ChurnConfig cfg = base_config(quick);
   cfg.regions = 4;
   cfg.region_rows = 2;
   cfg.region_cols = 3;
@@ -84,178 +68,62 @@ exp::ChaosConfig regions_config(bool quick) {
   return cfg;
 }
 
-exp::ChaosConfig cut_config(bool quick, bool silent) {
-  exp::ChaosConfig cfg = base_config(quick);
-  cfg.cut_link = true;
-  cfg.silent_partition = silent;
-  cfg.cut_at = quick ? 2_s : 8_s;
+/// A cut of link 1-2 at 2 s (quick) or 8 s: a silent `partition` or its
+/// explicit `sever` twin.
+exp::ChurnConfig cut_config(bool quick, exp::ChurnEventKind kind) {
+  exp::ChurnConfig cfg = base_config(quick);
+  cfg.events = {{.kind = kind, .at = quick ? 2_s : 8_s, .a = NodeId{1},
+                 .b = NodeId{2}}};
   return cfg;
 }
 
-SweepPoint run_point(const exp::ChaosConfig& cfg, const std::string& label,
-                     std::size_t jobs, std::size_t shards, std::size_t trials,
-                     std::uint64_t base_seed) {
-  SweepPoint p;
-  p.label = label;
-  p.jobs = jobs;
-  p.shards = shards;
-  exp::ChaosConfig run_cfg = cfg;
-  run_cfg.shards = shards;
-  const auto start = std::chrono::steady_clock::now();
-  const auto results =
-      exp::TrialRunner({jobs, base_seed})
-          .run(trials, [&run_cfg](const exp::Trial& t) {
-            return exp::chaos_trial(run_cfg, t.seed);
-          });
-  p.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  for (const auto& one : results) {
-    if (one.scalar_or("ok", 0.0) != 1.0 ||
-        one.scalar_or("consistency_ok", 0.0) != 1.0 ||
-        one.scalar_or("leak_free", 0.0) != 1.0 ||
-        one.scalar_or("quiescent", 0.0) != 1.0 ||
-        one.scalar_or("conservation_ok", 0.0) != 1.0) {
-      p.clean = false;
-    }
-    p.views.emplace_back(one.scalar_or("view_digest_hi", 0.0),
-                         one.scalar_or("view_digest_lo", 0.0));
-  }
-  std::sort(p.views.begin(), p.views.end());
-  const auto acc = exp::SummaryAccumulator::aggregate(results);
-  p.digest = acc.digest();
-  p.slo_mean = acc.scalar("slo").mean();
-  p.retransmits_mean = acc.scalar("retransmits").mean();
-  p.dead_verdicts_mean = acc.scalar("dead_verdicts").mean();
-  p.decode_errors_mean = acc.scalar("net_decode_errors").mean();
-  return p;
+exp::TrialRunner::TrialFn chaos(exp::ChurnConfig cfg,
+                                std::size_t shards = 1) {
+  cfg.shards = shards;
+  return [cfg](const exp::Trial& t) { return exp::chaos_trial(cfg, t.seed); };
 }
 
-void write_json(const std::string& path, std::size_t trials,
-                const std::vector<SweepPoint>& points, bool jobs_match,
-                bool shards_match, bool sweep_clean, bool partition_ok) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
+/// Sorted per-trial routed-view fingerprints (equivalence gate).
+std::vector<std::pair<double, double>> views(const SweepPoint& p) {
+  std::vector<std::pair<double, double>> v;
+  for (const auto& t : p.trials) {
+    v.emplace_back(t.scalar_or("view_digest_hi", 0.0),
+                   t.scalar_or("view_digest_lo", 0.0));
   }
-  std::fprintf(f,
-               "{\n"
-               "  \"benchmark\": \"chaos_soak\",\n"
-               "  \"trials_per_point\": %zu,\n"
-               "  \"jobs_digests_bit_identical\": %s,\n"
-               "  \"shards_digests_bit_identical\": %s,\n"
-               "  \"low_loss_trials_clean\": %s,\n"
-               "  \"partition_equals_sever\": %s,\n"
-               "  \"sweep\": [\n",
-               trials, jobs_match ? "true" : "false",
-               shards_match ? "true" : "false", sweep_clean ? "true" : "false",
-               partition_ok ? "true" : "false");
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto& p = points[i];
-    std::fprintf(f,
-                 "    {\"config\": \"%s\", \"jobs\": %zu, \"shards\": %zu, "
-                 "\"seconds\": %.6f, \"digest\": \"%016llx\", "
-                 "\"digests_match\": %s, \"clean\": %s, "
-                 "\"slo_mean\": %.4f, \"retransmits_mean\": %.1f, "
-                 "\"dead_verdicts_mean\": %.2f, "
-                 "\"decode_errors_mean\": %.1f}%s\n",
-                 p.label.c_str(), p.jobs, p.shards, p.seconds,
-                 static_cast<unsigned long long>(p.digest),
-                 p.digests_match ? "true" : "false",
-                 p.clean ? "true" : "false", p.slo_mean, p.retransmits_mean,
-                 p.dead_verdicts_mean, p.decode_errors_mean,
-                 i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  std::sort(v.begin(), v.end());
+  return v;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_chaos.json";
-  const BenchArgs args = BenchArgs::parse(
-      argc, argv,
-      [&out](const std::string& a) {
-        if (a.rfind("--out=", 0) == 0) {
-          out = a.substr(6);
-          return true;
-        }
-        return false;
-      },
-      " [--out=PATH]");
-
-  const std::size_t trials = args.trials(args.quick ? 1 : 3);
-  note_quick_cut(args, args.quick ? 1 : 3,
-                 "6 s horizon, jobs/shards {1,2}, loss sweep {0, 5%} "
-                 "(full: 20 s horizon, {1,2,4} sweeps, loss "
-                 "{0, 2%, 5%, 12%})");
-
-  std::vector<std::size_t> jobs_sweep{1, 2};
-  std::vector<std::size_t> shards_sweep{1, 2};
-  std::vector<double> loss_sweep{0.0, 0.05};
-  if (!args.quick) {
-    jobs_sweep.push_back(4);
-    shards_sweep.push_back(4);
-    loss_sweep = {0.0, 0.02, 0.05, 0.12};
-  }
-  if (std::find(jobs_sweep.begin(), jobs_sweep.end(), args.jobs) ==
-      jobs_sweep.end()) {
-    jobs_sweep.push_back(args.jobs);
-    std::sort(jobs_sweep.begin(), jobs_sweep.end());
-  }
-  if (std::find(shards_sweep.begin(), shards_sweep.end(), args.shards) ==
-      shards_sweep.end()) {
-    if (args.shards > 4) {
-      std::fprintf(stderr, "bad value for --shards: %zu (must be <= 4, the "
-                   "fabric's region count)\n",
-                   args.shards);
-      return 2;
-    }
-    shards_sweep.push_back(args.shards);
-    std::sort(shards_sweep.begin(), shards_sweep.end());
-  }
-  const std::uint64_t base_seed = args.base_seed(9300);
-
-  std::vector<SweepPoint> points;
-  bool jobs_match = true, shards_match = true;
-  bool sweep_clean = true, partition_ok = true;
+  const BenchArgs args = BenchArgs::parse(argc, argv, "BENCH_chaos.json");
+  GateBench bench("chaos_soak", args, args.quick ? 1 : 3, 9300,
+                  "6 s horizon, jobs/shards {1,2}, loss sweep {0, 5%} "
+                  "(full: 20 s horizon, {1,2,4} sweeps, loss "
+                  "{0, 2%, 5%, 12%})",
+                  {"ok", "consistency_ok", "leak_free", "quiescent",
+                   "conservation_ok"});
+  const std::vector<std::size_t> small{1, 2};
+  const std::vector<std::size_t> full{1, 2, 4};
+  const auto jobs_sweep = sweep_values(args.quick ? small : full, args.jobs);
+  const auto shards_sweep =
+      sweep_values(args.quick ? small : full, args.shards, 4);
+  const std::vector<double> loss_sweep =
+      args.quick ? std::vector<double>{0.0, 0.05}
+                 : std::vector<double>{0.0, 0.02, 0.05, 0.12};
 
   // Gate 1: identical digests at every --jobs value (default profile).
-  {
-    const auto cfg = base_config(args.quick);
-    std::uint64_t reference = 0;
-    for (const std::size_t jobs : jobs_sweep) {
-      SweepPoint p = run_point(cfg, "grid", jobs, 1, trials, base_seed);
-      if (jobs == jobs_sweep.front()) {
-        reference = p.digest;
-      } else if (p.digest != reference) {
-        p.digests_match = false;
-        jobs_match = false;
-      }
-      sweep_clean = sweep_clean && p.clean;
-      points.push_back(p);
-    }
+  for (const std::size_t jobs : jobs_sweep) {
+    bench.run("grid", jobs, 1, chaos(base_config(args.quick)));
   }
-
   // Gate 2: identical digests at every --shards value on the 4-region
   // fabric (jobs pinned to 1 so only the fold varies).
-  {
-    const auto cfg = regions_config(args.quick);
-    std::uint64_t reference = 0;
-    for (const std::size_t shards : shards_sweep) {
-      SweepPoint p = run_point(cfg, "regions4", 1, shards, trials, base_seed);
-      if (shards == shards_sweep.front()) {
-        reference = p.digest;
-      } else if (p.digest != reference) {
-        p.digests_match = false;
-        shards_match = false;
-      }
-      sweep_clean = sweep_clean && p.clean;
-      points.push_back(p);
-    }
+  for (const std::size_t shards : shards_sweep) {
+    bench.run("regions4", 1, shards,
+              chaos(regions_config(args.quick), shards));
   }
+  bool sweep_clean = bench.all_clean();
 
   // Gate 3: loss sweep — every point at <= 5% must come back clean
   // (higher points are informational: the transport still converges but
@@ -263,63 +131,39 @@ int main(int argc, char** argv) {
   for (const double loss : loss_sweep) {
     char label[32];
     std::snprintf(label, sizeof label, "loss%.0f%%", loss * 100.0);
-    SweepPoint p =
-        run_point(loss_config(args.quick, loss), label, 1, 1, trials,
-                  base_seed);
+    const SweepPoint& p =
+        bench.run(label, 1, 1, chaos(loss_config(args.quick, loss)));
     if (loss <= 0.05) sweep_clean = sweep_clean && p.clean;
-    points.push_back(p);
   }
 
   // Gate 4: a silent partition (dead-peer verdict detection) must land
   // on the same routed view as an explicit sever of the same link, and
   // must actually have exercised the verdict path.
-  {
-    SweepPoint partition = run_point(cut_config(args.quick, true),
-                                     "partition", 1, 1, trials, base_seed);
-    SweepPoint sever = run_point(cut_config(args.quick, false), "sever", 1, 1,
-                                 trials, base_seed);
-    if (partition.views != sever.views) {
-      partition_ok = false;
-      partition.digests_match = false;
-      sever.digests_match = false;
-    }
-    if (partition.dead_verdicts_mean <= 0.0) partition_ok = false;
-    sweep_clean = sweep_clean && partition.clean && sever.clean;
-    points.push_back(partition);
-    points.push_back(sever);
-  }
+  SweepPoint& partition = bench.run(
+      "partition", 1, 1,
+      chaos(cut_config(args.quick, exp::ChurnEventKind::partition)));
+  SweepPoint& sever = bench.run(
+      "sever", 1, 1,
+      chaos(cut_config(args.quick, exp::ChurnEventKind::sever)));
+  const bool same_view = views(partition) == views(sever);
+  partition.digests_match = sever.digests_match = same_view;
+  sweep_clean = sweep_clean && partition.clean && sever.clean;
 
-  print_banner(std::cout,
-               "Chaos soak — fault injection + reliable transport, digests "
-               "bit-identical across --jobs and --shards");
-  TablePrinter table({"config", "jobs", "shards", "seconds", "slo",
-                      "retx", "verdicts", "decode_err", "digest", "match"});
-  for (const auto& p : points) {
-    char digest[32];
-    std::snprintf(digest, sizeof digest, "%016llx",
-                  static_cast<unsigned long long>(p.digest));
-    table.add_row({p.label, TablePrinter::num(double(p.jobs), 0),
-                   TablePrinter::num(double(p.shards), 0),
-                   TablePrinter::num(p.seconds, 3),
-                   TablePrinter::num(p.slo_mean, 3),
-                   TablePrinter::num(p.retransmits_mean, 1),
-                   TablePrinter::num(p.dead_verdicts_mean, 2),
-                   TablePrinter::num(p.decode_errors_mean, 1), digest,
-                   p.digests_match ? "yes" : "NO"});
-  }
-  emit(table, args);
-  std::printf("\naggregates %s across --jobs\n",
-              jobs_match ? "BIT-IDENTICAL" : "DIFFER (determinism BUG)");
-  std::printf("aggregates %s across --shards\n",
-              shards_match ? "BIT-IDENTICAL" : "DIFFER (determinism BUG)");
-  std::printf("low-loss trials %s (ok + consistency + leak-free + "
-              "quiescent + conservation)\n",
-              sweep_clean ? "CLEAN" : "DIRTY (robustness BUG)");
-  std::printf("silent partition %s the explicit sever view\n",
-              partition_ok ? "MATCHES" : "DIVERGES FROM (detection BUG)");
-
-  write_json(out, trials, points, jobs_match, shards_match, sweep_clean,
-             partition_ok);
-  std::printf("wrote %s\n", out.c_str());
-  return (jobs_match && shards_match && sweep_clean && partition_ok) ? 0 : 1;
+  bench.gate("jobs_digests_bit_identical", bench.digests_agree("grid"),
+             "aggregates bit-identical across --jobs");
+  bench.gate("shards_digests_bit_identical", bench.digests_agree("regions4"),
+             "aggregates bit-identical across --shards");
+  bench.gate("low_loss_trials_clean", sweep_clean,
+             "low-loss trials clean (ok + consistency + leak-free + "
+             "quiescent + conservation)");
+  bench.gate("partition_equals_sever",
+             same_view && partition.mean("dead_verdicts") > 0.0,
+             "silent partition matches the explicit sever view");
+  return bench.finish(
+      "Chaos soak — fault injection + reliable transport, digests "
+      "bit-identical across --jobs and --shards",
+      {mean_column("slo_mean", "slo", 4),
+       mean_column("retransmits_mean", "retransmits", 1),
+       mean_column("dead_verdicts_mean", "dead_verdicts", 2),
+       mean_column("decode_errors_mean", "net_decode_errors", 1)});
 }

@@ -13,12 +13,13 @@
 //   --quick     cut the sweep to a fast smoke-test subset (each binary
 //               prints exactly what was cut)
 //   --csv       emit CSV instead of aligned tables
+// and the binaries that write a JSON result also accept:
+//   --out=PATH  where the JSON goes (default: the binary's BENCH_*.json)
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <iostream>
 #include <stdexcept>
 #include <string>
@@ -43,15 +44,17 @@ struct BenchArgs {
   bool quick = false;
   bool csv = false;
 
-  /// Parse the shared flags. A binary with extra flags passes `extra`
-  /// (return true when the argument was consumed) and an `extra_usage`
-  /// suffix for the usage line, so the shared flag handling is never
-  /// duplicated per binary. Malformed values exit with status 2.
-  static BenchArgs parse(
-      int argc, char** argv,
-      const std::function<bool(const std::string&)>& extra = nullptr,
-      const char* extra_usage = "") {
+  /// --out=PATH: where a binary that writes JSON puts it.
+  std::string out;
+
+  /// Parse the shared flags. A binary that writes JSON passes its
+  /// `default_out` path, which also enables --out=PATH; for the others
+  /// --out is an unknown argument. Malformed values, including an empty
+  /// --out=, exit with status 2.
+  static BenchArgs parse(int argc, char** argv,
+                         const char* default_out = nullptr) {
     BenchArgs args;
+    if (default_out != nullptr) args.out = default_out;
     const auto parse_u64 = [](const std::string& value, const char* flag,
                               std::uint64_t min_value) {
       const bool all_digits =
@@ -90,14 +93,18 @@ struct BenchArgs {
         args.quick = true;
       } else if (a == "--csv") {
         args.csv = true;
-      } else if (extra != nullptr && extra(a)) {
-        // consumed by the binary's own flag handler
+      } else if (default_out != nullptr && a.rfind("--out=", 0) == 0) {
+        args.out = a.substr(6);
+        if (args.out.empty()) {
+          std::fprintf(stderr, "bad value for --out: empty path\n");
+          std::exit(2);
+        }
       } else {
         std::fprintf(stderr, "unknown argument: %s\n", a.c_str());
         std::fprintf(stderr,
                      "usage: %s [--runs=N] [--jobs=N] [--shards=N] "
                      "[--seed=S] [--quick] [--csv]%s\n",
-                     argv[0], extra_usage);
+                     argv[0], default_out != nullptr ? " [--out=PATH]" : "");
         std::exit(2);
       }
     }

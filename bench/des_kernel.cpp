@@ -235,17 +235,8 @@ void write_json(const std::string& path, const MixConfig& cfg,
 
 int main(int argc, char** argv) {
   MixConfig cfg;
-  std::string out = "BENCH_des.json";
-  const auto args = qnetp::bench::BenchArgs::parse(
-      argc, argv,
-      [&out](const std::string& a) {
-        if (a.rfind("--out=", 0) == 0) {
-          out = a.substr(6);
-          return true;
-        }
-        return false;
-      },
-      " [--out=PATH]");
+  const auto args =
+      qnetp::bench::BenchArgs::parse(argc, argv, "BENCH_des.json");
   if (args.quick) cfg.rounds = 20;
   const std::size_t runs = args.runs != 0 ? args.runs : (args.quick ? 2 : 5);
   const bool csv = args.csv;
@@ -269,8 +260,8 @@ int main(int argc, char** argv) {
     table.print(std::cout);
   }
 
-  write_json(out, cfg, legacy, current);
-  std::printf("wrote %s (speedup %.2fx)\n", out.c_str(),
+  write_json(args.out, cfg, legacy, current);
+  std::printf("wrote %s (speedup %.2fx)\n", args.out.c_str(),
               current.mops() / legacy.mops());
   return 0;
 }

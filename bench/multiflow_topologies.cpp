@@ -7,16 +7,16 @@
 // digests are bit-identical across jobs (the determinism contract now
 // extended to arbitrary topologies and the admission-aware controller),
 // and records throughput-style aggregates plus the digests in
-// BENCH_topo.json. Exit status is non-zero when any digest differs.
+// BENCH_topo.json (the bench/gate.hpp schema). Exit status is non-zero
+// when any digest differs.
 //
 // Flags: --runs=N (trials per config, default 6), --quick (2 trials,
 //        short horizon, fewer configs), --csv, --jobs=N (extra jobs
 //        value), --out=PATH (default BENCH_topo.json).
-#include <algorithm>
-#include <chrono>
+#include <string>
 #include <vector>
 
-#include "bench/common.hpp"
+#include "bench/gate.hpp"
 
 using namespace qnetp;
 using namespace qnetp::literals;
@@ -29,81 +29,10 @@ struct Config {
   std::string label;
 };
 
-struct ConfigResult {
-  std::string label;
-  std::string family;
-  std::size_t size = 0;
-  std::size_t circuits = 0;
-  double seconds = 0.0;  ///< wall clock of the jobs=1 sweep point
-  double admitted_mean = 0.0;
-  double delivered_mean = 0.0;
-  double completed_mean = 0.0;
-  double fidelity_mean = 0.0;
-  double mismatches_total = 0.0;
-  double events_mean = 0.0;
-  std::uint64_t digest = 0;
-  bool digests_match = true;
-};
-
-void write_json(const std::string& path, std::size_t runs,
-                const std::vector<std::size_t>& jobs_sweep,
-                const std::vector<ConfigResult>& results, bool all_match) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"benchmark\": \"multiflow_topologies\",\n"
-               "  \"runs_per_config\": %zu,\n"
-               "  \"jobs_sweep\": [",
-               runs);
-  for (std::size_t i = 0; i < jobs_sweep.size(); ++i) {
-    std::fprintf(f, "%zu%s", jobs_sweep[i],
-                 i + 1 < jobs_sweep.size() ? ", " : "");
-  }
-  std::fprintf(f,
-               "],\n"
-               "  \"digests_bit_identical\": %s,\n"
-               "  \"configs\": [\n",
-               all_match ? "true" : "false");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    std::fprintf(
-        f,
-        "    {\"label\": \"%s\", \"family\": \"%s\", \"size\": %zu, "
-        "\"circuits\": %zu, \"seconds\": %.6f, \"admitted_mean\": %.3f, "
-        "\"delivered_mean\": %.3f, \"completed_mean\": %.3f, "
-        "\"fidelity_mean\": %.4f, \"mismatches_total\": %.0f, "
-        "\"events_mean\": %.0f, \"digest\": \"%016llx\", "
-        "\"digests_match\": %s}%s\n",
-        r.label.c_str(), r.family.c_str(), r.size, r.circuits, r.seconds,
-        r.admitted_mean, r.delivered_mean, r.completed_mean,
-        r.fidelity_mean, r.mismatches_total, r.events_mean,
-        static_cast<unsigned long long>(r.digest),
-        r.digests_match ? "true" : "false",
-        i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_topo.json";
-  const BenchArgs args = BenchArgs::parse(
-      argc, argv,
-      [&out](const std::string& a) {
-        if (a.rfind("--out=", 0) == 0) {
-          out = a.substr(6);
-          return true;
-        }
-        return false;
-      },
-      " [--out=PATH]");
-
+  const BenchArgs args = BenchArgs::parse(argc, argv, "BENCH_topo.json");
   const Duration horizon = args.quick ? 150_s : 300_s;
   auto make = [&](exp::TopologyFamily family, std::size_t size,
                   std::size_t circuits) {
@@ -130,76 +59,31 @@ int main(int argc, char** argv) {
     configs.push_back(make(exp::TopologyFamily::hetero_chain, 5, 2));
   }
 
-  const std::size_t runs = args.trials(args.quick ? 2 : 6);
-  note_quick_cut(args, args.quick ? 2 : 6,
-                 "3 configs (grid/ring/waxman x2 circuits), 150 s horizon "
-                 "(full: 8 configs, 300 s)");
-
-  std::vector<std::size_t> jobs_sweep{1, 2, 4};
-  if (std::find(jobs_sweep.begin(), jobs_sweep.end(), args.jobs) ==
-      jobs_sweep.end()) {
-    jobs_sweep.push_back(args.jobs);
-  }
-  const std::uint64_t base_seed = args.base_seed(4100);
-
-  std::vector<ConfigResult> results;
-  bool all_match = true;
+  GateBench bench("multiflow_topologies", args, args.quick ? 2 : 6, 4100,
+                  "3 configs (grid/ring/waxman x2 circuits), 150 s horizon "
+                  "(full: 8 configs, 300 s)");
+  bool jobs_match = true;
   for (const auto& config : configs) {
-    auto trial = [&](const exp::Trial& t) {
+    const auto fn = [&config](const exp::Trial& t) {
       return exp::multiflow_trial(config.cfg, t.seed);
     };
-    ConfigResult r;
-    r.label = config.label;
-    r.family = exp::to_string(config.cfg.family);
-    r.size = config.cfg.size;
-    r.circuits = config.cfg.n_circuits;
-    bool first = true;
-    for (const std::size_t jobs : jobs_sweep) {
-      exp::TrialRunner runner({jobs, base_seed});
-      const auto start = std::chrono::steady_clock::now();
-      const auto trials = runner.run(runs, trial);
-      const auto stop = std::chrono::steady_clock::now();
-      const auto agg = exp::SummaryAccumulator::aggregate(trials);
-      if (first) {
-        r.seconds = std::chrono::duration<double>(stop - start).count();
-        r.digest = agg.digest();
-        r.admitted_mean = agg.scalar("admitted").mean();
-        r.delivered_mean = agg.scalar("delivered").mean();
-        r.completed_mean = agg.scalar("completed").mean();
-        r.fidelity_mean = agg.scalar("mean_fidelity").mean();
-        r.mismatches_total =
-            agg.scalar("mismatches").mean() * static_cast<double>(runs);
-        r.events_mean = agg.scalar("events").mean();
-        first = false;
-      } else if (agg.digest() != r.digest) {
-        r.digests_match = false;
-        all_match = false;
-      }
+    for (const std::size_t jobs : sweep_values({1, 2, 4}, args.jobs)) {
+      bench.run(config.label, jobs, 1, fn);
     }
-    results.push_back(r);
+    jobs_match = bench.digests_agree(config.label) && jobs_match;
   }
-
-  print_banner(std::cout,
-               "Multi-flow topology sweep — " + std::to_string(runs) +
-                   " trials/config, jobs-invariance checked");
-  TablePrinter table({"config", "admitted", "delivered", "completed",
-                      "fidelity", "events", "seconds", "digest"});
-  for (const auto& r : results) {
-    char digest[32];
-    std::snprintf(digest, sizeof digest, "%016llx",
-                  static_cast<unsigned long long>(r.digest));
-    table.add_row({r.label, TablePrinter::num(r.admitted_mean, 2),
-                   TablePrinter::num(r.delivered_mean, 2),
-                   TablePrinter::num(r.completed_mean, 2),
-                   TablePrinter::num(r.fidelity_mean, 4),
-                   TablePrinter::num(r.events_mean, 0),
-                   TablePrinter::num(r.seconds, 3), digest});
-  }
-  emit(table, args);
-  std::printf("\naggregates %s across jobs values\n",
-              all_match ? "BIT-IDENTICAL" : "DIFFER (determinism BUG)");
-
-  write_json(out, runs, jobs_sweep, results, all_match);
-  std::printf("wrote %s\n", out.c_str());
-  return all_match ? 0 : 1;
+  bench.gate("digests_bit_identical", jobs_match,
+             "aggregates bit-identical across jobs values");
+  return bench.finish(
+      "Multi-flow topology sweep — " + std::to_string(bench.trials()) +
+          " trials/config, jobs-invariance checked",
+      {mean_column("admitted_mean", "admitted", 3),
+       mean_column("delivered_mean", "delivered", 3),
+       mean_column("completed_mean", "completed", 3),
+       mean_column("fidelity_mean", "mean_fidelity", 4),
+       {"mismatches_total", 0,
+        [](const SweepPoint& p) {
+          return p.mean("mismatches") * static_cast<double>(p.trials.size());
+        }},
+       mean_column("events_mean", "events", 0)});
 }

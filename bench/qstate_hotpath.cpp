@@ -231,17 +231,8 @@ void write_json(const std::string& path, const std::vector<Measured>& all,
 }
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_qstate.json";
-  const auto args = qnetp::bench::BenchArgs::parse(
-      argc, argv,
-      [&out](const std::string& a) {
-        if (a.rfind("--out=", 0) == 0) {
-          out = a.substr(6);
-          return true;
-        }
-        return false;
-      },
-      " [--out=PATH]");
+  const auto args =
+      qnetp::bench::BenchArgs::parse(argc, argv, "BENCH_qstate.json");
 
   std::vector<Workload> workloads = {
       // Simulation-preset electron memory + near-term carbon memory:
@@ -295,8 +286,8 @@ int main(int argc, char** argv) {
   }
 
   const double headline = results.front().speedup();
-  write_json(out, results, headline);
-  std::printf("wrote %s (speedup %.2fx)\n", out.c_str(), headline);
+  write_json(args.out, results, headline);
+  std::printf("wrote %s (speedup %.2fx)\n", args.out.c_str(), headline);
   return 0;
 }
 

@@ -10,19 +10,17 @@
 //      leaves no trace either.
 // Every trial must also come back ok, engine-consistent and leak-free
 // (all admitted capacity returned after the churn teardowns). Results
-// land in BENCH_routing.json; exit status is non-zero when any gate
-// fails.
+// land in BENCH_routing.json (the bench/gate.hpp schema); exit status is
+// non-zero when any gate fails.
 //
 // Flags: --runs=N (trials per point, default 3; quick 1),
 //        --jobs=N / --shards=N (extra sweep values),
 //        --quick (grid only, compressed timeline), --csv,
 //        --out=PATH (default BENCH_routing.json).
-#include <algorithm>
-#include <chrono>
 #include <string>
 #include <vector>
 
-#include "bench/common.hpp"
+#include "bench/gate.hpp"
 #include "exp/churn.hpp"
 
 using namespace qnetp;
@@ -30,19 +28,6 @@ using namespace qnetp::literals;
 using namespace qnetp::bench;
 
 namespace {
-
-struct SweepPoint {
-  std::string label;      // family name or "regions4"
-  std::size_t jobs = 1;
-  std::size_t shards = 1;
-  double seconds = 0.0;
-  std::uint64_t digest = 0;
-  bool digests_match = true;
-  bool clean = true;  ///< ok + consistency_ok + leak_free in every trial
-  double delivered_mean = 0.0;
-  double torn_mean = 0.0;
-  double updates_mean = 0.0;
-};
 
 exp::ChurnConfig family_config(exp::TopologyFamily family, bool quick) {
   exp::ChurnConfig cfg;
@@ -84,6 +69,7 @@ exp::ChurnConfig family_config(exp::TopologyFamily family, bool quick) {
 }
 
 exp::ChurnConfig regions_config(bool quick) {
+  using K = exp::ChurnEventKind;
   exp::ChurnConfig cfg;
   cfg.regions = 4;
   cfg.region_rows = 2;
@@ -92,222 +78,70 @@ exp::ChurnConfig regions_config(bool quick) {
   cfg.n_guaranteed = 1;
   cfg.requested_eer = 0.5;
   // Node ids: region r holds r*6+1 .. r*6+6, row-major 2x3.
-  auto event = [&](exp::ChurnEventKind kind, double at_s, std::uint64_t a,
-                   std::uint64_t b) {
-    exp::ChurnEvent e;
-    e.kind = kind;
-    e.at = Duration::seconds(at_s);
-    e.a = NodeId{a};
-    e.b = NodeId{b};
-    cfg.events.push_back(e);
-  };
   if (quick) {
     cfg.horizon = 6_s;
     cfg.warmup = 2_s;
-    event(exp::ChurnEventKind::sever, 2.0, 1, 2);
-    exp::ChurnEvent crowd;
-    crowd.kind = exp::ChurnEventKind::flash_crowd;
-    crowd.at = Duration::seconds(4);
-    cfg.events.push_back(crowd);
+    cfg.events = {{.kind = K::sever, .at = 2_s, .a = NodeId{1}, .b = NodeId{2}},
+                  {.kind = K::flash_crowd, .at = 4_s}};
   } else {
     cfg.horizon = 30_s;
-    event(exp::ChurnEventKind::sever, 5.0, 1, 2);
-    event(exp::ChurnEventKind::degrade, 8.0, 7, 8);
-    cfg.events.back().cost_factor = 5.0;
-    event(exp::ChurnEventKind::heal, 14.0, 1, 2);
-    exp::ChurnEvent crowd;
-    crowd.kind = exp::ChurnEventKind::flash_crowd;
-    crowd.at = Duration::seconds(18);
-    cfg.events.push_back(crowd);
-    exp::ChurnEvent fail;
-    fail.kind = exp::ChurnEventKind::fail_node;
-    fail.at = Duration::seconds(22);
-    fail.node = NodeId{14};
-    cfg.events.push_back(fail);
+    cfg.events = {
+        {.kind = K::sever, .at = 5_s, .a = NodeId{1}, .b = NodeId{2}},
+        {.kind = K::degrade, .at = 8_s, .a = NodeId{7}, .b = NodeId{8},
+         .cost_factor = 5.0},
+        {.kind = K::heal, .at = 14_s, .a = NodeId{1}, .b = NodeId{2}},
+        {.kind = K::flash_crowd, .at = 18_s},
+        {.kind = K::fail_node, .at = 22_s, .node = NodeId{14}}};
   }
   return cfg;
 }
 
-SweepPoint run_point(const exp::ChurnConfig& cfg, const std::string& label,
-                     std::size_t jobs, std::size_t shards, std::size_t trials,
-                     std::uint64_t base_seed) {
-  SweepPoint p;
-  p.label = label;
-  p.jobs = jobs;
-  p.shards = shards;
-  exp::ChurnConfig run_cfg = cfg;
-  run_cfg.shards = shards;
-  const auto start = std::chrono::steady_clock::now();
-  const auto results =
-      exp::TrialRunner({jobs, base_seed})
-          .run(trials, [&run_cfg](const exp::Trial& t) {
-            return exp::churn_trial(run_cfg, t.seed);
-          });
-  p.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  for (const auto& one : results) {
-    if (one.scalar_or("ok", 0.0) != 1.0 ||
-        one.scalar_or("consistency_ok", 0.0) != 1.0 ||
-        one.scalar_or("leak_free", 0.0) != 1.0) {
-      p.clean = false;
-    }
-  }
-  const auto acc = exp::SummaryAccumulator::aggregate(results);
-  p.digest = acc.digest();
-  p.delivered_mean = acc.scalar("delivered").mean();
-  p.torn_mean = acc.scalar("torn_down").mean();
-  p.updates_mean = acc.scalar("updates_applied").mean();
-  return p;
-}
-
-void write_json(const std::string& path, std::size_t trials,
-                const std::vector<SweepPoint>& points, bool jobs_match,
-                bool shards_match, bool all_clean) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"benchmark\": \"routing_churn\",\n"
-               "  \"trials_per_point\": %zu,\n"
-               "  \"jobs_digests_bit_identical\": %s,\n"
-               "  \"shards_digests_bit_identical\": %s,\n"
-               "  \"all_trials_clean\": %s,\n"
-               "  \"sweep\": [\n",
-               trials, jobs_match ? "true" : "false",
-               shards_match ? "true" : "false", all_clean ? "true" : "false");
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto& p = points[i];
-    std::fprintf(f,
-                 "    {\"config\": \"%s\", \"jobs\": %zu, \"shards\": %zu, "
-                 "\"seconds\": %.6f, \"digest\": \"%016llx\", "
-                 "\"digests_match\": %s, \"clean\": %s, "
-                 "\"delivered_mean\": %.2f, \"torn_down_mean\": %.2f, "
-                 "\"updates_applied_mean\": %.2f}%s\n",
-                 p.label.c_str(), p.jobs, p.shards, p.seconds,
-                 static_cast<unsigned long long>(p.digest),
-                 p.digests_match ? "true" : "false",
-                 p.clean ? "true" : "false", p.delivered_mean, p.torn_mean,
-                 p.updates_mean, i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+exp::TrialRunner::TrialFn churn(exp::ChurnConfig cfg,
+                                std::size_t shards = 1) {
+  cfg.shards = shards;
+  return [cfg](const exp::Trial& t) { return exp::churn_trial(cfg, t.seed); };
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_routing.json";
-  const BenchArgs args = BenchArgs::parse(
-      argc, argv,
-      [&out](const std::string& a) {
-        if (a.rfind("--out=", 0) == 0) {
-          out = a.substr(6);
-          return true;
-        }
-        return false;
-      },
-      " [--out=PATH]");
-
-  const std::size_t trials = args.trials(args.quick ? 1 : 3);
-  note_quick_cut(args, args.quick ? 1 : 3,
-                 "grid family only, compressed 8 s timeline (full: "
-                 "grid/ring/star + 4-region fabric, 30 s timelines)");
-
+  const BenchArgs args = BenchArgs::parse(argc, argv, "BENCH_routing.json");
+  GateBench bench("routing_churn", args, args.quick ? 1 : 3, 9100,
+                  "grid family only, compressed 8 s timeline (full: "
+                  "grid/ring/star + 4-region fabric, 30 s timelines)",
+                  {"ok", "consistency_ok", "leak_free"});
   std::vector<exp::TopologyFamily> families{exp::TopologyFamily::grid};
   if (!args.quick) {
     families.push_back(exp::TopologyFamily::ring);
     families.push_back(exp::TopologyFamily::star);
   }
-  std::vector<std::size_t> jobs_sweep{1, 2, 4};
-  if (std::find(jobs_sweep.begin(), jobs_sweep.end(), args.jobs) ==
-      jobs_sweep.end()) {
-    jobs_sweep.push_back(args.jobs);
-    std::sort(jobs_sweep.begin(), jobs_sweep.end());
-  }
-  std::vector<std::size_t> shards_sweep{1, 2, 4};
-  if (std::find(shards_sweep.begin(), shards_sweep.end(), args.shards) ==
-      shards_sweep.end()) {
-    if (args.shards <= 4) {  // regions = 4 bounds the fold
-      shards_sweep.push_back(args.shards);
-      std::sort(shards_sweep.begin(), shards_sweep.end());
-    } else {
-      std::fprintf(stderr, "bad value for --shards: %zu (must be <= 4, the "
-                   "fabric's region count)\n",
-                   args.shards);
-      return 2;
-    }
-  }
-  const std::uint64_t base_seed = args.base_seed(9100);
-
-  std::vector<SweepPoint> points;
-  bool jobs_match = true, shards_match = true, all_clean = true;
+  const auto jobs_sweep = sweep_values({1, 2, 4}, args.jobs);
+  const auto shards_sweep = sweep_values({1, 2, 4}, args.shards, 4);
 
   // Gate 1: per family, identical digests at every --jobs value.
+  bool jobs_match = true;
   for (const auto family : families) {
-    const auto cfg = family_config(family, args.quick);
-    std::uint64_t reference = 0;
+    const auto fn = churn(family_config(family, args.quick));
     for (const std::size_t jobs : jobs_sweep) {
-      SweepPoint p =
-          run_point(cfg, exp::to_string(family), jobs, 1, trials, base_seed);
-      if (jobs == jobs_sweep.front()) {
-        reference = p.digest;
-      } else if (p.digest != reference) {
-        p.digests_match = false;
-        jobs_match = false;
-      }
-      all_clean = all_clean && p.clean;
-      points.push_back(p);
+      bench.run(exp::to_string(family), jobs, 1, fn);
     }
+    jobs_match = bench.digests_agree(exp::to_string(family)) && jobs_match;
   }
-
   // Gate 2: on the multi-region fabric, identical digests at every
   // --shards value (jobs pinned to 1 so only the fold varies).
-  {
-    const auto cfg = regions_config(args.quick);
-    std::uint64_t reference = 0;
-    for (const std::size_t shards : shards_sweep) {
-      SweepPoint p = run_point(cfg, "regions4", 1, shards, trials, base_seed);
-      if (shards == shards_sweep.front()) {
-        reference = p.digest;
-      } else if (p.digest != reference) {
-        p.digests_match = false;
-        shards_match = false;
-      }
-      all_clean = all_clean && p.clean;
-      points.push_back(p);
-    }
+  for (const std::size_t shards : shards_sweep) {
+    bench.run("regions4", 1, shards, churn(regions_config(args.quick), shards));
   }
-
-  print_banner(std::cout,
-               "Link-state routing under churn — digests bit-identical "
-               "across --jobs and --shards");
-  TablePrinter table({"config", "jobs", "shards", "seconds", "delivered",
-                      "torn", "updates", "digest", "match"});
-  for (const auto& p : points) {
-    char digest[32];
-    std::snprintf(digest, sizeof digest, "%016llx",
-                  static_cast<unsigned long long>(p.digest));
-    table.add_row({p.label, TablePrinter::num(double(p.jobs), 0),
-                   TablePrinter::num(double(p.shards), 0),
-                   TablePrinter::num(p.seconds, 3),
-                   TablePrinter::num(p.delivered_mean, 1),
-                   TablePrinter::num(p.torn_mean, 1),
-                   TablePrinter::num(p.updates_mean, 1), digest,
-                   p.digests_match ? "yes" : "NO"});
-  }
-  emit(table, args);
-  std::printf("\naggregates %s across --jobs\n",
-              jobs_match ? "BIT-IDENTICAL" : "DIFFER (determinism BUG)");
-  std::printf("aggregates %s across --shards\n",
-              shards_match ? "BIT-IDENTICAL" : "DIFFER (determinism BUG)");
-  std::printf("trials %s (ok + engine consistency + no capacity leak)\n",
-              all_clean ? "CLEAN" : "DIRTY (accounting BUG)");
-
-  write_json(out, trials, points, jobs_match, shards_match, all_clean);
-  std::printf("wrote %s\n", out.c_str());
-  return (jobs_match && shards_match && all_clean) ? 0 : 1;
+  bench.gate("jobs_digests_bit_identical", jobs_match,
+             "aggregates bit-identical across --jobs");
+  bench.gate("shards_digests_bit_identical", bench.digests_agree("regions4"),
+             "aggregates bit-identical across --shards");
+  bench.gate("all_trials_clean", bench.all_clean(),
+             "every trial ok, engine-consistent and free of capacity leaks");
+  return bench.finish(
+      "Link-state routing under churn — digests bit-identical across --jobs "
+      "and --shards",
+      {mean_column("delivered_mean", "delivered", 2),
+       mean_column("torn_down_mean", "torn_down", 2),
+       mean_column("updates_applied_mean", "updates_applied", 2)});
 }

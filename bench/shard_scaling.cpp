@@ -7,98 +7,24 @@
 //      freedom in the results;
 //   2. every engine passes its internal consistency_check() in every
 //      trial.
-// Wall-clock per shard count and the speedup of the largest sweep value
-// over shards=1 land in BENCH_shard.json together with the host core
-// count (speedups are only meaningful with cores >= shards). Exit
+// Wall-clock and speedup over shards=1 per shard count land in
+// BENCH_shard.json (the bench/gate.hpp schema) together with the host
+// core count (speedups are only meaningful with cores >= shards). Exit
 // status is non-zero when any gate fails.
 //
 // Flags: --runs=N (trials per shard count, default 2; quick 1),
 //        --shards=N (extra sweep value, must be <= regions),
 //        --quick (small fabric, short horizon), --csv,
 //        --out=PATH (default BENCH_shard.json).
-#include <algorithm>
-#include <chrono>
-#include <string>
-#include <thread>
-#include <vector>
-
-#include "bench/common.hpp"
+#include "bench/gate.hpp"
 #include "exp/shard_scaling.hpp"
 
 using namespace qnetp;
 using namespace qnetp::literals;
 using namespace qnetp::bench;
 
-namespace {
-
-struct ShardResult {
-  std::size_t shards = 0;
-  double seconds = 0.0;
-  std::uint64_t digest = 0;
-  bool digests_match = true;
-  bool consistent = true;
-  double events_mean = 0.0;
-  double completed_mean = 0.0;
-};
-
-void write_json(const std::string& path, const exp::ShardScalingConfig& cfg,
-                std::size_t trials, double nodes, double circuits,
-                const std::vector<ShardResult>& results, double speedup,
-                bool all_match, bool all_consistent) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"benchmark\": \"shard_scaling\",\n"
-               "  \"nodes\": %.0f,\n"
-               "  \"regions\": %zu,\n"
-               "  \"circuits\": %.0f,\n"
-               "  \"horizon_s\": %.3f,\n"
-               "  \"trials_per_shard_count\": %zu,\n"
-               "  \"hw_concurrency\": %u,\n"
-               "  \"digests_bit_identical\": %s,\n"
-               "  \"engines_consistent\": %s,\n"
-               "  \"speedup_max_shards_vs_1\": %.3f,\n"
-               "  \"sweep\": [\n",
-               nodes, cfg.regions, circuits, cfg.horizon.as_seconds(),
-               trials, std::thread::hardware_concurrency(),
-               all_match ? "true" : "false",
-               all_consistent ? "true" : "false", speedup);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    std::fprintf(f,
-                 "    {\"shards\": %zu, \"seconds\": %.6f, "
-                 "\"digest\": \"%016llx\", \"digests_match\": %s, "
-                 "\"consistent\": %s, \"events_mean\": %.0f, "
-                 "\"completed_mean\": %.2f}%s\n",
-                 r.shards, r.seconds,
-                 static_cast<unsigned long long>(r.digest),
-                 r.digests_match ? "true" : "false",
-                 r.consistent ? "true" : "false", r.events_mean,
-                 r.completed_mean, i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  std::string out = "BENCH_shard.json";
-  const BenchArgs args = BenchArgs::parse(
-      argc, argv,
-      [&out](const std::string& a) {
-        if (a.rfind("--out=", 0) == 0) {
-          out = a.substr(6);
-          return true;
-        }
-        return false;
-      },
-      " [--out=PATH]");
-
+  const BenchArgs args = BenchArgs::parse(argc, argv, "BENCH_shard.json");
   exp::ShardScalingConfig cfg;  // 4 x (3x9) = 108 nodes, 52 circuits
   if (args.quick) {
     cfg.region_rows = 2;
@@ -107,96 +33,33 @@ int main(int argc, char** argv) {
     cfg.horizon = 1_s;
     cfg.occupancy_samples = 4;
   }
-  if (args.shards > cfg.regions) {
-    std::fprintf(stderr, "bad value for --shards: %zu (must be <= %zu, the "
-                 "fabric's region count)\n",
-                 args.shards, cfg.regions);
-    return 2;
-  }
-
-  const std::size_t trials = args.trials(args.quick ? 1 : 2);
-  note_quick_cut(args, args.quick ? 1 : 2,
-                 "4 x (2x3) = 24 nodes, 8 circuits, 1 s horizon "
-                 "(full: 4 x (3x9) = 108 nodes, 52 circuits, 5 s)");
-
-  std::vector<std::size_t> sweep{1, 2, 4};
-  if (std::find(sweep.begin(), sweep.end(), args.shards) == sweep.end()) {
-    sweep.push_back(args.shards);
-    std::sort(sweep.begin(), sweep.end());
-  }
-  const std::uint64_t base_seed = args.base_seed(7300);
-
-  std::vector<ShardResult> results;
-  bool all_match = true, all_consistent = true;
-  double nodes = 0.0, circuits = 0.0;
-  for (const std::size_t shards : sweep) {
+  const auto shards_sweep = sweep_values({1, 2, 4}, args.shards, cfg.regions);
+  GateBench bench("shard_scaling", args, args.quick ? 1 : 2, 7300,
+                  "4 x (2x3) = 24 nodes, 8 circuits, 1 s horizon "
+                  "(full: 4 x (3x9) = 108 nodes, 52 circuits, 5 s)",
+                  {"ok", "consistency_ok"});
+  for (const std::size_t shards : shards_sweep) {
     exp::ShardScalingConfig run_cfg = cfg;
     run_cfg.shards = shards;
-    ShardResult r;
-    r.shards = shards;
-    exp::SummaryAccumulator acc;
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t n = 0; n < trials; ++n) {
-      const exp::TrialResult one =
-          exp::shard_scaling_trial(run_cfg, exp::trial_seed(base_seed, n));
-      if (one.scalar_or("ok", 0.0) != 1.0 ||
-          one.scalar_or("consistency_ok", 0.0) != 1.0) {
-        r.consistent = false;
-      }
-      acc.add(one);
-    }
-    r.seconds = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-    // The trial never echoes cfg.shards into its result, so the plain
-    // digest covers every metric and must match across the sweep.
-    r.digest = acc.digest();
-    r.events_mean = acc.scalar("events").mean();
-    r.completed_mean = acc.scalar("completed").mean();
-    if (results.empty()) {
-      nodes = acc.scalar("nodes").mean();
-      circuits = acc.scalar("admitted").mean();
-    } else if (r.digest != results.front().digest) {
-      r.digests_match = false;
-      all_match = false;
-    }
-    all_consistent = all_consistent && r.consistent;
-    results.push_back(r);
+    bench.run("regions4", 1, shards, [run_cfg](const exp::Trial& t) {
+      return exp::shard_scaling_trial(run_cfg, t.seed);
+    });
   }
-
-  const double speedup = results.back().seconds > 0.0
-                             ? results.front().seconds / results.back().seconds
-                             : 0.0;
-
-  print_banner(std::cout,
-               "Sharded conservative-parallel DES — one fabric, many "
-               "worker loops, bit-identical digests");
-  TablePrinter table({"shards", "trials", "seconds", "events", "completed",
-                      "digest", "match"});
-  for (const auto& r : results) {
-    char digest[32];
-    std::snprintf(digest, sizeof digest, "%016llx",
-                  static_cast<unsigned long long>(r.digest));
-    table.add_row({TablePrinter::num(double(r.shards), 0),
-                   TablePrinter::num(double(trials), 0),
-                   TablePrinter::num(r.seconds, 3),
-                   TablePrinter::num(r.events_mean, 0),
-                   TablePrinter::num(r.completed_mean, 1), digest,
-                   r.digests_match ? "yes" : "NO"});
-  }
-  emit(table, args);
-  std::printf("\nfabric: %.0f nodes, %.0f circuits admitted\n", nodes,
-              circuits);
-  std::printf("host cores: %u\n", std::thread::hardware_concurrency());
-  std::printf("speedup shards=%zu vs shards=1: %.2fx\n", sweep.back(),
-              speedup);
-  std::printf("aggregates %s across shard counts\n",
-              all_match ? "BIT-IDENTICAL" : "DIFFER (determinism BUG)");
-  std::printf("engine consistency checks %s\n",
-              all_consistent ? "PASS" : "FAIL (accounting BUG)");
-
-  write_json(out, cfg, trials, nodes, circuits, results, speedup, all_match,
-             all_consistent);
-  std::printf("wrote %s\n", out.c_str());
-  return (all_match && all_consistent) ? 0 : 1;
+  // The trial never echoes cfg.shards into its result, so the plain
+  // digest covers every metric and must match across the sweep.
+  bench.gate("digests_bit_identical", bench.digests_agree("regions4"),
+             "aggregates bit-identical across shard counts");
+  bench.gate("engines_consistent", bench.all_clean(),
+             "every trial ok with consistent engines");
+  const SweepPoint& serial = bench.points().front();
+  bench.info("nodes", serial.mean("nodes"));
+  bench.info("regions", static_cast<double>(cfg.regions));
+  bench.info("circuits", serial.mean("admitted"));
+  bench.info("horizon_s", cfg.horizon.as_seconds());
+  return bench.finish(
+      "Sharded conservative-parallel DES — one fabric, many worker loops, "
+      "bit-identical digests",
+      {mean_column("events_mean", "events", 0),
+       mean_column("completed_mean", "completed", 2),
+       speedup_column(serial)});
 }

@@ -2,29 +2,23 @@
 // bursts, diurnal ramp) against shared fabrics, with the flow-table GC
 // and determinism contracts enforced as hard gates.
 //
-// For every configuration the soak runs seeded exp::traffic_trial
-// batches at jobs=1 until the wall-clock budget is spent (at least the
-// --runs floor), then replays the exact same trial count at the other
-// --jobs values and checks three invariants:
+// Every configuration runs the same seeded exp::traffic_trial batch at
+// each --jobs value and checks three invariants:
 //   1. aggregate digests are bit-identical across jobs values,
 //   2. engine flow-table occupancy stays flat over the horizon in every
 //      trial (peak within 2x steady state: wholesale expiry keeps
 //      record counts from growing monotonically), and
 //   3. every engine passes its internal consistency_check().
-// Results land in BENCH_traffic.json. Exit status is non-zero when any
-// gate fails.
+// Results land in BENCH_traffic.json (the bench/gate.hpp schema). Exit
+// status is non-zero when any gate fails.
 //
-// Flags: --runs=N (minimum trials per config, default 6; quick 2),
-//        --seconds=S (wall budget per config for the jobs=1 soak pass,
-//        default 0 = exactly --runs trials), --quick (short horizon,
-//        fewer configs), --csv, --jobs=N (extra jobs value),
-//        --out=PATH (default BENCH_traffic.json).
-#include <algorithm>
-#include <chrono>
+// Flags: --runs=N (trials per config, default 6; quick 2), --quick
+//        (short horizon, fewer configs), --csv, --jobs=N (extra jobs
+//        value), --out=PATH (default BENCH_traffic.json).
 #include <string>
 #include <vector>
 
-#include "bench/common.hpp"
+#include "bench/gate.hpp"
 #include "exp/traffic.hpp"
 
 using namespace qnetp;
@@ -38,28 +32,6 @@ struct Config {
   std::string label;
 };
 
-struct ConfigResult {
-  std::string label;
-  std::string kind;
-  std::string family;
-  double seconds = 0.0;  ///< wall clock of the jobs=1 soak pass
-  std::size_t trials = 0;
-  double offered_mean = 0.0;
-  double accepted_mean = 0.0;
-  double shaped_mean = 0.0;
-  double rejected_mean = 0.0;
-  double completed_mean = 0.0;
-  double slo_attainment = 0.0;
-  double latency_p99_s = 0.0;
-  double occ_steady = 0.0;
-  double occ_peak = 0.0;
-  double expired_wholesale_mean = 0.0;
-  std::uint64_t digest = 0;
-  bool digests_match = true;
-  bool occupancy_flat = true;
-  bool consistent = true;
-};
-
 exp::SummaryAccumulator make_accumulator() {
   exp::SummaryAccumulator acc;
   // Must be registered identically before every aggregation the digest
@@ -68,80 +40,10 @@ exp::SummaryAccumulator make_accumulator() {
   return acc;
 }
 
-void write_json(const std::string& path, std::size_t min_runs,
-                const std::vector<std::size_t>& jobs_sweep,
-                const std::vector<ConfigResult>& results, bool all_match,
-                bool all_flat, bool all_consistent) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"benchmark\": \"traffic_soak\",\n"
-               "  \"min_runs_per_config\": %zu,\n"
-               "  \"jobs_sweep\": [",
-               min_runs);
-  for (std::size_t i = 0; i < jobs_sweep.size(); ++i) {
-    std::fprintf(f, "%zu%s", jobs_sweep[i],
-                 i + 1 < jobs_sweep.size() ? ", " : "");
-  }
-  std::fprintf(f,
-               "],\n"
-               "  \"digests_bit_identical\": %s,\n"
-               "  \"occupancy_flat\": %s,\n"
-               "  \"engines_consistent\": %s,\n"
-               "  \"configs\": [\n",
-               all_match ? "true" : "false", all_flat ? "true" : "false",
-               all_consistent ? "true" : "false");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    std::fprintf(
-        f,
-        "    {\"label\": \"%s\", \"arrivals\": \"%s\", \"family\": \"%s\", "
-        "\"seconds\": %.6f, \"trials\": %zu, \"offered_mean\": %.2f, "
-        "\"accepted_mean\": %.2f, \"shaped_mean\": %.2f, "
-        "\"rejected_mean\": %.2f, \"completed_mean\": %.2f, "
-        "\"slo_attainment\": %.4f, \"latency_p99_s\": %.4f, "
-        "\"occ_steady\": %.2f, \"occ_peak\": %.2f, "
-        "\"expired_wholesale_mean\": %.2f, \"digest\": \"%016llx\", "
-        "\"digests_match\": %s, \"occupancy_flat\": %s, "
-        "\"consistent\": %s}%s\n",
-        r.label.c_str(), r.kind.c_str(), r.family.c_str(), r.seconds,
-        r.trials, r.offered_mean, r.accepted_mean, r.shaped_mean,
-        r.rejected_mean, r.completed_mean, r.slo_attainment,
-        r.latency_p99_s, r.occ_steady, r.occ_peak,
-        r.expired_wholesale_mean,
-        static_cast<unsigned long long>(r.digest),
-        r.digests_match ? "true" : "false",
-        r.occupancy_flat ? "true" : "false",
-        r.consistent ? "true" : "false",
-        i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_traffic.json";
-  std::uint64_t wall_seconds = 0;
-  const BenchArgs args = BenchArgs::parse(
-      argc, argv,
-      [&out, &wall_seconds](const std::string& a) {
-        if (a.rfind("--out=", 0) == 0) {
-          out = a.substr(6);
-          return true;
-        }
-        if (a.rfind("--seconds=", 0) == 0) {
-          wall_seconds = std::stoull(a.substr(10));
-          return true;
-        }
-        return false;
-      },
-      " [--out=PATH] [--seconds=S]");
+  const BenchArgs args = BenchArgs::parse(argc, argv, "BENCH_traffic.json");
 
   const Duration horizon = args.quick ? 120_s : 300_s;
   auto make = [&](exp::ArrivalKind kind, exp::TopologyFamily family,
@@ -200,115 +102,48 @@ int main(int argc, char** argv) {
     configs.back().label = "poisson-grid3-c2-be";
   }
 
-  const std::size_t min_runs = args.trials(args.quick ? 2 : 6);
-  note_quick_cut(args, args.quick ? 2 : 6,
-                 "3 configs (poisson/mmpp/diurnal), 120 s horizon "
-                 "(full: 6 configs incl. overload + shaping, 300 s)");
-
-  std::vector<std::size_t> jobs_sweep{1, 2, 4};
-  if (std::find(jobs_sweep.begin(), jobs_sweep.end(), args.jobs) ==
-      jobs_sweep.end()) {
-    jobs_sweep.push_back(args.jobs);
-  }
-  const std::uint64_t base_seed = args.base_seed(6100);
-
-  std::vector<ConfigResult> results;
-  bool all_match = true, all_flat = true, all_consistent = true;
+  GateBench bench("traffic_soak", args, args.quick ? 2 : 6, 6100,
+                  "3 configs (poisson/mmpp/diurnal), 120 s horizon "
+                  "(full: 6 configs incl. overload + shaping, 300 s)",
+                  {"occ_flat", "consistency_ok"});
+  bool jobs_match = true;
   for (const auto& config : configs) {
-    auto trial = [&](const exp::Trial& t) {
+    const auto fn = [&config](const exp::Trial& t) {
       return exp::traffic_trial(config.cfg, t.seed);
     };
-
-    // Soak pass (jobs=1): run trial-by-trial until the wall budget is
-    // spent, but always at least min_runs so the jobs sweep has work.
-    ConfigResult r;
-    r.label = config.label;
-    r.kind = exp::to_string(config.cfg.arrivals.kind);
-    r.family = exp::to_string(config.cfg.family);
-    auto acc = make_accumulator();
-    const auto start = std::chrono::steady_clock::now();
-    const auto elapsed = [&] {
-      return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           start)
-          .count();
-    };
-    std::size_t n = 0;
-    while (n < min_runs ||
-           (wall_seconds > 0 &&
-            elapsed() < static_cast<double>(wall_seconds))) {
-      const exp::TrialResult one =
-          exp::traffic_trial(config.cfg, exp::trial_seed(base_seed, n));
-      if (one.scalar_or("occ_flat", 0.0) != 1.0) r.occupancy_flat = false;
-      if (one.scalar_or("consistency_ok", 0.0) != 1.0) r.consistent = false;
-      acc.add(one);
-      ++n;
+    for (const std::size_t jobs : sweep_values({1, 2, 4}, args.jobs)) {
+      bench.run(config.label, jobs, 1, fn, make_accumulator());
     }
-    r.seconds = elapsed();
-    r.trials = n;
-    r.digest = acc.digest();
-    r.offered_mean = acc.scalar("offered").mean();
-    r.accepted_mean = acc.scalar("accepted").mean();
-    r.shaped_mean = acc.scalar("shaped").mean();
-    r.rejected_mean = acc.scalar("rejected").mean();
-    r.completed_mean = acc.scalar("completed").mean();
-    r.slo_attainment = acc.scalar("slo_attainment").mean();
-    if (acc.has_scalar("latency_p99_s")) {
-      r.latency_p99_s = acc.scalar("latency_p99_s").mean();
-    }
-    r.occ_steady = acc.scalar("occ_steady").mean();
-    r.occ_peak = acc.scalar("occ_peak").max();
-    r.expired_wholesale_mean = acc.scalar("occ_expired_wholesale").mean();
-
-    // Replay the same trial count at the other jobs values: aggregates
-    // must be bit-identical (arrival streams are seeded per trial, so
-    // scheduling cannot leak into the results).
-    for (const std::size_t jobs : jobs_sweep) {
-      if (jobs == 1) continue;
-      exp::TrialRunner runner({jobs, base_seed});
-      const auto trials = runner.run(n, trial);
-      auto sweep_acc = make_accumulator();
-      for (const auto& t : trials) sweep_acc.add(t);
-      if (sweep_acc.digest() != r.digest) {
-        r.digests_match = false;
-        all_match = false;
-      }
-    }
-    all_flat = all_flat && r.occupancy_flat;
-    all_consistent = all_consistent && r.consistent;
-    results.push_back(r);
+    jobs_match = bench.digests_agree(config.label) && jobs_match;
   }
-
-  print_banner(std::cout,
-               "Open-loop traffic soak — flow-table GC, SLO attainment and "
-               "jobs-invariance gates");
-  TablePrinter table({"config", "trials", "offered", "accepted", "shaped",
-                      "rejected", "completed", "slo", "occ stdy", "occ peak",
-                      "digest"});
-  for (const auto& r : results) {
-    char digest[32];
-    std::snprintf(digest, sizeof digest, "%016llx",
-                  static_cast<unsigned long long>(r.digest));
-    table.add_row({r.label, TablePrinter::num(double(r.trials), 0),
-                   TablePrinter::num(r.offered_mean, 1),
-                   TablePrinter::num(r.accepted_mean, 1),
-                   TablePrinter::num(r.shaped_mean, 1),
-                   TablePrinter::num(r.rejected_mean, 1),
-                   TablePrinter::num(r.completed_mean, 1),
-                   TablePrinter::num(r.slo_attainment, 3),
-                   TablePrinter::num(r.occ_steady, 1),
-                   TablePrinter::num(r.occ_peak, 1), digest});
-  }
-  emit(table, args);
-  std::printf("\naggregates %s across jobs values\n",
-              all_match ? "BIT-IDENTICAL" : "DIFFER (determinism BUG)");
-  std::printf("flow-table occupancy %s\n",
-              all_flat ? "FLAT (peak within 2x steady state)"
-                       : "GROWING (GC BUG)");
-  std::printf("engine consistency checks %s\n",
-              all_consistent ? "PASS" : "FAIL (accounting BUG)");
-
-  write_json(out, min_runs, jobs_sweep, results, all_match, all_flat,
-             all_consistent);
-  std::printf("wrote %s\n", out.c_str());
-  return (all_match && all_flat && all_consistent) ? 0 : 1;
+  const auto every = [&bench](const std::string& key) {
+    return std::all_of(bench.points().begin(), bench.points().end(),
+                       [&key](const SweepPoint& p) {
+                         return p.all_trials(key);
+                       });
+  };
+  bench.gate("digests_bit_identical", jobs_match,
+             "aggregates bit-identical across jobs values");
+  bench.gate("occupancy_flat", every("occ_flat"),
+             "flow-table occupancy flat (peak within 2x steady state)");
+  bench.gate("engines_consistent", every("consistency_ok"),
+             "engine consistency checks pass");
+  return bench.finish(
+      "Open-loop traffic soak — flow-table GC, SLO attainment and "
+      "jobs-invariance gates",
+      {mean_column("offered_mean", "offered", 2),
+       mean_column("accepted_mean", "accepted", 2),
+       mean_column("shaped_mean", "shaped", 2),
+       mean_column("rejected_mean", "rejected", 2),
+       mean_column("completed_mean", "completed", 2),
+       mean_column("slo_attainment", "slo_attainment", 4),
+       {"latency_p99_s", 4,
+        [](const SweepPoint& p) {
+          return p.acc.has_scalar("latency_p99_s") ? p.mean("latency_p99_s")
+                                                   : 0.0;
+        }},
+       mean_column("occ_steady", "occ_steady", 2),
+       {"occ_peak", 2,
+        [](const SweepPoint& p) { return p.acc.scalar("occ_peak").max(); }},
+       mean_column("expired_wholesale_mean", "occ_expired_wholesale", 2)});
 }

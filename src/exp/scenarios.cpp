@@ -643,6 +643,42 @@ std::vector<std::pair<NodeId, NodeId>> family_flow_endpoints(
   return flows;
 }
 
+netsim::TopologySpec region_grid_spec(std::size_t regions, std::size_t rows,
+                                      std::size_t cols) {
+  QNETP_ASSERT(regions >= 1);
+  QNETP_ASSERT(rows >= 1);
+  QNETP_ASSERT(cols >= 2);
+  const auto hw = qhw::simulation_preset();
+  std::vector<netsim::TopologySpec> parts;
+  parts.reserve(regions);
+  for (std::size_t r = 0; r < regions; ++r) {
+    parts.push_back(
+        netsim::TopologySpec::grid(rows, cols, hw, qhw::FiberParams::lab(2.0)));
+  }
+  return netsim::TopologySpec::compose_regions(
+      parts, qhw::FiberParams::telecom(20000.0));
+}
+
+std::vector<std::pair<NodeId, NodeId>> region_flow_endpoints(
+    std::size_t regions, std::size_t rows, std::size_t cols,
+    std::size_t per_region) {
+  const std::size_t span = std::min<std::size_t>(3, cols - 1);
+  const std::size_t starts = cols - span;
+  const auto node = [rows, cols](std::size_t r, std::size_t row,
+                                 std::size_t col) {
+    return NodeId{r * rows * cols + row * cols + col + 1};
+  };
+  std::vector<std::pair<NodeId, NodeId>> flows;
+  for (std::size_t r = 0; r < regions; ++r) {
+    for (std::size_t i = 0; i < per_region; ++i) {
+      const std::size_t row = i % rows;
+      const std::size_t start = ((i / rows) * 2) % starts;
+      flows.emplace_back(node(r, row, start), node(r, row, start + span));
+    }
+  }
+  return flows;
+}
+
 TrialResult multiflow_trial(const MultiflowConfig& cfg, std::uint64_t seed) {
   TrialResult result;
   result.set("ok", 0.0);

@@ -173,6 +173,21 @@ netsim::TopologySpec family_topology_spec(TopologyFamily family,
 [[nodiscard]] std::vector<std::pair<NodeId, NodeId>> family_flow_endpoints(
     TopologyFamily family, std::size_t size, std::size_t n_flows);
 
+/// The multi-region fabric: `regions` rows x cols grids in a row,
+/// stitched by 20 km telecom bridges (TopologySpec::compose_regions,
+/// whose propagation delay is the sharded kernel's lookahead). Region r
+/// holds node ids r*rows*cols+1 .. (r+1)*rows*cols, row-major.
+netsim::TopologySpec region_grid_spec(std::size_t regions, std::size_t rows,
+                                      std::size_t cols);
+
+/// Region-local row circuits on region_grid_spec: `per_region` (head,
+/// tail) pairs per region, region-major, each min(3, cols-1) hops along
+/// one grid row. Being region-local, they are decided by the region
+/// partition, never by the shard count.
+[[nodiscard]] std::vector<std::pair<NodeId, NodeId>> region_flow_endpoints(
+    std::size_t regions, std::size_t rows, std::size_t cols,
+    std::size_t per_region);
+
 struct MultiflowConfig {
   TopologyFamily family = TopologyFamily::grid;
   std::size_t size = 3;

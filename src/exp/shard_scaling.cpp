@@ -9,29 +9,14 @@
 
 #include "netsim/network.hpp"
 #include "qbase/assert.hpp"
-#include "qhw/params.hpp"
 
 namespace qnetp::exp {
 
-netsim::TopologySpec shard_scaling_spec(const ShardScalingConfig& cfg) {
-  QNETP_ASSERT(cfg.regions >= 1);
-  QNETP_ASSERT(cfg.region_rows >= 1);
-  QNETP_ASSERT(cfg.region_cols >= 2);
-  const auto hw = qhw::simulation_preset();
-  std::vector<netsim::TopologySpec> parts;
-  parts.reserve(cfg.regions);
-  for (std::size_t r = 0; r < cfg.regions; ++r) {
-    parts.push_back(netsim::TopologySpec::grid(cfg.region_rows,
-                                               cfg.region_cols, hw,
-                                               qhw::FiberParams::lab(2.0)));
-  }
-  auto spec = netsim::TopologySpec::compose_regions(
-      parts, qhw::FiberParams::telecom(cfg.bridge_km * 1000.0));
-  spec.name = "shard_scaling";
-  return spec;
-}
-
 namespace {
+
+/// Cross-bridge keepalive chatter period (both directions per bridge):
+/// the cross-shard traffic the mailbox merge has to canonicalize.
+constexpr Duration kBridgePingInterval = Duration::ms(25);
 
 /// Per-flow runtime state. Everything in here is touched only by the
 /// head shard's event loop (pump + completion handlers) once traffic
@@ -70,7 +55,8 @@ TrialResult shard_scaling_trial(const ShardScalingConfig& cfg,
   QNETP_ASSERT_MSG(cfg.shards >= 1 && cfg.shards <= cfg.regions,
                    "shards must fold onto the regions");
 
-  const auto spec = shard_scaling_spec(cfg);
+  const auto spec =
+      region_grid_spec(cfg.regions, cfg.region_rows, cfg.region_cols);
   netsim::NetworkConfig config;
   config.seed = derive_stream_seed(seed, 0);
   config.sharding.shards = cfg.shards;
@@ -85,87 +71,74 @@ TrialResult shard_scaling_trial(const ShardScalingConfig& cfg,
   ctrl::CircuitPlanOptions options;
   if (cfg.short_cutoff) options.cutoff_generation_quantile = 0.85;
 
-  const std::size_t per_region = cfg.region_rows * cfg.region_cols;
-  const auto node_at = [&](std::size_t region, std::size_t row,
-                           std::size_t col) {
-    return NodeId{region * per_region + row * cfg.region_cols + col + 1};
-  };
-
   // Establish circuits on a fixed slot grid: one circuit per slot, the
   // slot also bounding the install wait, so every establishment instant
   // is an absolute time independent of the shard count.
   std::deque<FlowRt> flows;  // deque: handlers capture stable addresses
-  const std::size_t span =
-      std::min<std::size_t>(3, cfg.region_cols - 1);  // hops per circuit
-  const std::size_t starts = cfg.region_cols - span;
+  const auto endpoints =
+      region_flow_endpoints(cfg.regions, cfg.region_rows, cfg.region_cols,
+                            cfg.circuits_per_region);
   TimePoint slot = ssim.now();
-  for (std::size_t r = 0; r < cfg.regions; ++r) {
-    for (std::size_t i = 0; i < cfg.circuits_per_region; ++i) {
-      ssim.run_until(slot);
-      slot = slot + cfg.establish_slot;
-      const std::size_t candidate = r * cfg.circuits_per_region + i;
-      const std::size_t row = i % cfg.region_rows;
-      const std::size_t start =
-          ((i / cfg.region_rows) * 2) % starts;
-      const NodeId head = node_at(r, row, start);
-      const NodeId tail = node_at(r, row, start + span);
-      const EndpointId head_ep{1000 + candidate};
-      const EndpointId tail_ep{5000 + candidate};
-      const auto plan =
-          net->establish_circuit(head, tail, head_ep, tail_ep, cfg.fidelity,
-                                 options, nullptr, cfg.establish_slot);
-      if (!plan.has_value()) continue;
+  for (std::size_t candidate = 0; candidate < endpoints.size(); ++candidate) {
+    ssim.run_until(slot);
+    slot = slot + cfg.establish_slot;
+    const auto [head, tail] = endpoints[candidate];
+    const EndpointId head_ep{1000 + candidate};
+    const EndpointId tail_ep{5000 + candidate};
+    const auto plan =
+        net->establish_circuit(head, tail, head_ep, tail_ep, cfg.fidelity,
+                               options, nullptr, cfg.establish_slot);
+    if (!plan.has_value()) continue;
 
-      FlowRt& f = flows.emplace_back();
-      f.circuit = plan->install.circuit_id;
-      f.head = head;
-      f.tail = tail;
-      f.head_ep = head_ep;
-      f.tail_ep = tail_ep;
-      f.hsim = &ssim.shard(net->shard_of(head));
-      f.arrivals = std::make_unique<ArrivalProcess>(
-          cfg.arrivals, derive_stream_seed(seed, 1000 + candidate));
-      f.req_base = (candidate + 1) * 1000000;
+    FlowRt& f = flows.emplace_back();
+    f.circuit = plan->install.circuit_id;
+    f.head = head;
+    f.tail = tail;
+    f.head_ep = head_ep;
+    f.tail_ep = tail_ep;
+    f.hsim = &ssim.shard(net->shard_of(head));
+    f.arrivals = std::make_unique<ArrivalProcess>(
+        cfg.arrivals, derive_stream_seed(seed, 1000 + candidate));
+    f.req_base = (candidate + 1) * 1000000;
 
-      // Head handlers: latency accounting + sink every delivered qubit.
-      qnp::QnpEngine& head_engine = net->engine(head);
-      qnp::EndpointHandlers hh;
-      hh.on_pair = [&net, &f](const qnp::PairDelivery& d) {
-        if (d.tracking_pending) return;
-        if (d.qubit.valid()) net->engine(f.head).release_app_qubit(d.qubit);
-      };
-      hh.on_tracking = [&net, &f](const qnp::PairDelivery& d) {
-        if (d.qubit.valid()) net->engine(f.head).release_app_qubit(d.qubit);
-      };
-      hh.on_expire = [&net, &f](CircuitId, RequestId, QubitId qubit) {
-        if (qubit.valid()) net->engine(f.head).release_app_qubit(qubit);
-      };
-      hh.on_complete = [&f](CircuitId, RequestId id) {
-        const auto it = f.pending.find(id);
-        if (it == f.pending.end()) return;
-        f.completed += 1.0;
-        f.latency_s.push_back((f.hsim->now() - it->second).as_seconds());
-        f.pending.erase(it);
-      };
-      hh.on_circuit_down = [&f](CircuitId, const std::string&) {
-        f.down = true;
-      };
-      head_engine.register_endpoint(head_ep, std::move(hh));
+    // Head handlers: latency accounting + sink every delivered qubit.
+    qnp::QnpEngine& head_engine = net->engine(head);
+    qnp::EndpointHandlers hh;
+    hh.on_pair = [&net, &f](const qnp::PairDelivery& d) {
+      if (d.tracking_pending) return;
+      if (d.qubit.valid()) net->engine(f.head).release_app_qubit(d.qubit);
+    };
+    hh.on_tracking = [&net, &f](const qnp::PairDelivery& d) {
+      if (d.qubit.valid()) net->engine(f.head).release_app_qubit(d.qubit);
+    };
+    hh.on_expire = [&net, &f](CircuitId, RequestId, QubitId qubit) {
+      if (qubit.valid()) net->engine(f.head).release_app_qubit(qubit);
+    };
+    hh.on_complete = [&f](CircuitId, RequestId id) {
+      const auto it = f.pending.find(id);
+      if (it == f.pending.end()) return;
+      f.completed += 1.0;
+      f.latency_s.push_back((f.hsim->now() - it->second).as_seconds());
+      f.pending.erase(it);
+    };
+    hh.on_circuit_down = [&f](CircuitId, const std::string&) {
+      f.down = true;
+    };
+    head_engine.register_endpoint(head_ep, std::move(hh));
 
-      qnp::EndpointHandlers th;
-      th.on_pair = [&net, &f](const qnp::PairDelivery& d) {
-        if (d.qubit.valid() && !d.tracking_pending) {
-          net->engine(f.tail).release_app_qubit(d.qubit);
-        }
-      };
-      th.on_tracking = [&net, &f](const qnp::PairDelivery& d) {
-        if (d.qubit.valid()) net->engine(f.tail).release_app_qubit(d.qubit);
-      };
-      th.on_expire = [&net, &f](CircuitId, RequestId, QubitId qubit) {
-        if (qubit.valid()) net->engine(f.tail).release_app_qubit(qubit);
-      };
-      net->engine(tail).register_endpoint(tail_ep, std::move(th));
-    }
+    qnp::EndpointHandlers th;
+    th.on_pair = [&net, &f](const qnp::PairDelivery& d) {
+      if (d.qubit.valid() && !d.tracking_pending) {
+        net->engine(f.tail).release_app_qubit(d.qubit);
+      }
+    };
+    th.on_tracking = [&net, &f](const qnp::PairDelivery& d) {
+      if (d.qubit.valid()) net->engine(f.tail).release_app_qubit(d.qubit);
+    };
+    th.on_expire = [&net, &f](CircuitId, RequestId, QubitId qubit) {
+      if (qubit.valid()) net->engine(f.tail).release_app_qubit(qubit);
+    };
+    net->engine(tail).register_endpoint(tail_ep, std::move(th));
   }
   result.set("admitted", static_cast<double>(flows.size()));
   if (flows.empty()) return result;
@@ -223,13 +196,14 @@ TrialResult shard_scaling_trial(const ShardScalingConfig& cfg,
   // the cross-shard traffic whose mailbox merge order the digest checks.
   std::deque<Ping> pings;
   std::function<void(Ping&)> ping_fn;
-  ping_fn = [&cfg, &net, traffic_end, &ping_fn](Ping& p) {
+  ping_fn = [&net, traffic_end, &ping_fn](Ping& p) {
     net->classical().send(p.from, p.to, netmsg::KeepaliveMsg{CircuitId{1}});
-    const TimePoint next = p.sim->now() + cfg.bridge_ping_interval;
+    const TimePoint next = p.sim->now() + kBridgePingInterval;
     if (next < traffic_end) {
       p.sim->schedule_at(next, [&p, &ping_fn] { ping_fn(p); });
     }
   };
+  const std::size_t per_region = cfg.region_rows * cfg.region_cols;
   for (std::size_t r = 0; r + 1 < cfg.regions; ++r) {
     const NodeId left{(r + 1) * per_region};    // last node of region r
     const NodeId right{(r + 1) * per_region + 1};  // first of region r+1
@@ -239,7 +213,7 @@ TrialResult shard_scaling_trial(const ShardScalingConfig& cfg,
       p.from = from;
       p.to = to;
       p.sim = &ssim.shard(net->shard_of(from));
-      p.sim->schedule_at(traffic_start + cfg.bridge_ping_interval,
+      p.sim->schedule_at(traffic_start + kBridgePingInterval,
                          [&p, &ping_fn] { ping_fn(p); });
     }
   }

@@ -1,10 +1,11 @@
 // exp::shard_scaling — the 100+ node multi-region fabric that exercises
 // the sharded conservative-parallel DES kernel (des::ShardedSimulator).
 //
-// The fabric is a row of `regions` grid networks stitched by long-haul
-// classical bridges (TopologySpec::compose_regions): quantum circuits
-// stay region-local, keepalive chatter crosses every bridge, and the
-// bridge propagation delay is the conservative lookahead. Each region
+// The fabric is region_grid_spec: a row of `regions` grid networks
+// stitched by long-haul classical bridges. Quantum circuits stay
+// region-local (region_flow_endpoints), keepalive chatter crosses every
+// bridge every 25 ms, and the bridge propagation delay is the
+// conservative lookahead. Each region
 // carries `circuits_per_region` concurrent 3-hop circuits driven by
 // independent seeded Poisson request pumps that run *inside* the event
 // loop of the head node's shard — so at shards > 1 the regions genuinely
@@ -17,7 +18,6 @@
 
 #include "exp/traffic.hpp"
 #include "exp/trial.hpp"
-#include "netsim/topology_spec.hpp"
 #include "qbase/units.hpp"
 
 namespace qnetp::exp {
@@ -45,20 +45,12 @@ struct ShardScalingConfig {
   /// slot also bounding the install wait) so establishment instants are
   /// identical at every shard count.
   Duration establish_slot = Duration::ms(50);
-  /// Cross-bridge keepalive chatter period (both directions per bridge)
-  /// — the cross-shard traffic the mailbox merge has to canonicalize.
-  Duration bridge_ping_interval = Duration::ms(25);
-  /// Bridge fiber length; its propagation delay is the lookahead.
-  double bridge_km = 20.0;
 
   Duration horizon = Duration::seconds(5);  ///< open-loop traffic window
   /// Fabric-wide flow-table occupancy samples, taken at fixed absolute
   /// times from the driver thread (between conservative windows).
   std::size_t occupancy_samples = 8;
 };
-
-/// The multi-region TopologySpec for `cfg` (no simulator involved).
-netsim::TopologySpec shard_scaling_spec(const ShardScalingConfig& cfg);
 
 /// Runs one seeded trial at cfg.shards worker loops.
 ///

@@ -127,10 +127,15 @@ TimePoint ArrivalProcess::next_diurnal(TimePoint now) {
 }
 
 // ---------------------------------------------------------------------------
-// TrafficEngine
+// traffic_trial
 // ---------------------------------------------------------------------------
 
 namespace {
+
+/// Fixed occupancy windows over the horizon.
+constexpr std::size_t kOccupancyWindows = 16;
+/// Per-trial cap on exported latency samples ("latency_res_s").
+constexpr std::size_t kLatencyReservoir = 512;
 
 /// Per-request bookkeeping at the head end, erased on completion so the
 /// live map tracks only in-flight requests.
@@ -157,36 +162,26 @@ double median_of(std::vector<double> xs) {
 
 }  // namespace
 
-TrafficEngine::TrafficEngine(const TrafficConfig& cfg, std::uint64_t seed)
-    : cfg_(cfg), seed_(seed) {}
-
 TrialResult traffic_trial(const TrafficConfig& cfg, std::uint64_t seed) {
-  return TrafficEngine(cfg, seed).run();
-}
-
-TrialResult TrafficEngine::run() {
   TrialResult result;
   result.set("ok", 0.0);
-  QNETP_ASSERT(cfg_.pairs_per_request > 0);
-  QNETP_ASSERT(cfg_.occupancy_windows > 0);
-  QNETP_ASSERT(cfg_.slo.latency_budget > Duration::zero());
-  QNETP_ASSERT(cfg_.best_effort_fraction >= 0.0 &&
-               cfg_.best_effort_fraction <= 1.0);
+  QNETP_ASSERT(cfg.pairs_per_request > 0);
+  QNETP_ASSERT(cfg.slo.latency_budget > Duration::zero());
+  QNETP_ASSERT(cfg.best_effort_fraction >= 0.0 &&
+               cfg.best_effort_fraction <= 1.0);
 
   // Independent seeded streams: world construction, arrival times, and
   // request classification never perturb each other, so e.g. changing
   // the best-effort fraction does not reshuffle arrival instants.
   netsim::NetworkConfig config;
-  config.seed = derive_stream_seed(seed_, 0);
-  auto net =
-      family_topology_spec(cfg_.family, cfg_.size, seed_).build(config);
-  ArrivalProcess arrivals(cfg_.arrivals, derive_stream_seed(seed_, 1));
-  Rng classify_rng(derive_stream_seed(seed_, 2));
-  ReservoirSampler latency_res(cfg_.latency_reservoir,
-                               derive_stream_seed(seed_, 3));
+  config.seed = derive_stream_seed(seed, 0);
+  auto net = family_topology_spec(cfg.family, cfg.size, seed).build(config);
+  ArrivalProcess arrivals(cfg.arrivals, derive_stream_seed(seed, 1));
+  Rng classify_rng(derive_stream_seed(seed, 2));
+  ReservoirSampler latency_res(kLatencyReservoir, derive_stream_seed(seed, 3));
 
   ctrl::CircuitPlanOptions options;
-  if (cfg_.short_cutoff) options.cutoff_generation_quantile = 0.85;
+  if (cfg.short_cutoff) options.cutoff_generation_quantile = 0.85;
 
   // Establish the concurrent circuits the stream round-robins over.
   struct Flow {
@@ -202,13 +197,13 @@ TrialResult TrafficEngine::run() {
   double completed = 0.0, slo_met = 0.0, slo_eligible = 0.0;
 
   const auto endpoints =
-      family_flow_endpoints(cfg_.family, cfg_.size, cfg_.n_circuits);
+      family_flow_endpoints(cfg.family, cfg.size, cfg.n_circuits);
   for (std::size_t i = 0; i < endpoints.size(); ++i) {
     const EndpointId head_ep{10 + i};
     const EndpointId tail_ep{200 + i};
     const auto plan = net->establish_circuit(
         endpoints[i].first, endpoints[i].second, head_ep, tail_ep,
-        cfg_.fidelity, options);
+        cfg.fidelity, options);
     if (!plan.has_value()) continue;
     const std::size_t flow_idx = flows.size();
     flows.push_back(Flow{plan->install.circuit_id, endpoints[i].first,
@@ -256,13 +251,13 @@ TrialResult TrafficEngine::run() {
       latency_res.add(lat);
       if (it->second.slo && it->second.eligible) {
         const bool in_budget =
-            lat <= cfg_.slo.latency_budget.as_seconds();
+            lat <= cfg.slo.latency_budget.as_seconds();
         const bool fidelity_ok =
-            cfg_.slo.fidelity_floor <= 0.0 ||
+            cfg.slo.fidelity_floor <= 0.0 ||
             (it->second.fidelity_n > 0 &&
              it->second.fidelity_sum /
                      static_cast<double>(it->second.fidelity_n) >=
-                 cfg_.slo.fidelity_floor);
+                 cfg.slo.fidelity_floor);
         if (in_budget && fidelity_ok) slo_met += 1.0;
       }
       pending.erase(it);
@@ -296,21 +291,21 @@ TrialResult TrafficEngine::run() {
   if (flows.empty()) return result;
 
   const TimePoint start = net->sim().now();
-  const TimePoint end = start + cfg_.horizon;
+  const TimePoint end = start + cfg.horizon;
   const auto node_ids = net->node_ids();
 
   // Fabric-wide flow-table occupancy, sampled at arrival instants and
   // bucketed into fixed windows over the horizon.
-  std::vector<OccupancyWindow> windows(cfg_.occupancy_windows);
+  std::vector<OccupancyWindow> windows(kOccupancyWindows);
   const auto sample_occupancy = [&](TimePoint t) {
     double live = 0.0;
     for (const NodeId id : node_ids) {
       live += static_cast<double>(net->engine(id).occupancy().live);
     }
-    const double frac = (t - start).as_seconds() / cfg_.horizon.as_seconds();
+    const double frac = (t - start).as_seconds() / cfg.horizon.as_seconds();
     auto idx = static_cast<std::size_t>(
-        frac * static_cast<double>(cfg_.occupancy_windows));
-    idx = std::min(idx, cfg_.occupancy_windows - 1);
+        frac * static_cast<double>(kOccupancyWindows));
+    idx = std::min(idx, kOccupancyWindows - 1);
     windows[idx].max = std::max(windows[idx].max, live);
     windows[idx].sum += live;
     ++windows[idx].n;
@@ -323,7 +318,7 @@ TrialResult TrafficEngine::run() {
   std::function<void(TimePoint)> pump = [&](TimePoint at) {
     sample_occupancy(at);
     offered += 1.0;
-    const bool best_effort = classify_rng.bernoulli(cfg_.best_effort_fraction);
+    const bool best_effort = classify_rng.bernoulli(cfg.best_effort_fraction);
 
     // Round-robin over circuits that are still up.
     std::size_t probes = 0;
@@ -339,14 +334,14 @@ TrialResult TrafficEngine::run() {
       req.head_endpoint = flow.head_ep;
       req.tail_endpoint = flow.tail_ep;
       req.type = netmsg::RequestType::keep;
-      req.num_pairs = cfg_.pairs_per_request;
+      req.num_pairs = cfg.pairs_per_request;
       // The SLO budget doubles as the keep-window (so min_eer() > 0 and
       // the request books circuit rate). SLO requests also carry it as
       // the deadline, which makes overload REJECT them (policing);
       // best-effort requests omit the deadline, so overload queues them
       // in the shaping deque instead.
-      req.delta_t = cfg_.slo.latency_budget;
-      if (!best_effort) req.deadline = cfg_.slo.latency_budget;
+      req.delta_t = cfg.slo.latency_budget;
+      if (!best_effort) req.deadline = cfg.slo.latency_budget;
 
       qnp::QnpEngine& engine = net->engine(flow.head);
       const std::uint64_t shaped_before = engine.counters().requests_shaped;
@@ -362,7 +357,7 @@ TrialResult TrafficEngine::run() {
         PendingRequest p;
         p.submitted = at;
         p.slo = !best_effort;
-        p.eligible = !best_effort && at + cfg_.slo.latency_budget <= end;
+        p.eligible = !best_effort && at + cfg.slo.latency_budget <= end;
         if (p.eligible) slo_eligible += 1.0;
         pending[req.id] = p;
       }
@@ -402,10 +397,10 @@ TrialResult TrafficEngine::run() {
   std::vector<double> window_means;
   double occ_peak = 0.0;
   const double warmup_frac =
-      cfg_.warmup.as_seconds() / cfg_.horizon.as_seconds();
+      cfg.warmup.as_seconds() / cfg.horizon.as_seconds();
   for (std::size_t w = 0; w < windows.size(); ++w) {
     const double w_start = static_cast<double>(w) /
-                           static_cast<double>(cfg_.occupancy_windows);
+                           static_cast<double>(kOccupancyWindows);
     if (w_start < warmup_frac || windows[w].n == 0) continue;
     window_means.push_back(windows[w].sum /
                            static_cast<double>(windows[w].n));

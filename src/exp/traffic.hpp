@@ -1,14 +1,15 @@
-// exp::TrafficEngine — open-loop arrival workloads with per-request SLOs.
+// exp::traffic_trial — open-loop arrival workloads with per-request SLOs.
 //
 // The multiflow scenarios issue a fixed batch of requests and wait; real
-// networks see request *streams*. TrafficEngine drives any TopologyFamily
+// networks see request *streams*. traffic_trial drives any TopologyFamily
 // fabric with seeded open-loop arrivals (Poisson, 2-state MMPP bursts, or
 // a diurnal raised-cosine ramp), submits each arrival as an AppRequest
 // carrying its SLO (fidelity floor + latency budget, expressed to the
 // engine as deadline/delta_t so QNP policing rejects what cannot be
 // served in time), and records accept/shape/reject, SLO attainment, tail
 // latency (exact per-trial p50/p99/p99.9 plus a reservoir-capped sample
-// export) and engine flow-table occupancy over the horizon. Everything is
+// export, at most 512 samples per trial) and engine flow-table occupancy
+// over the horizon, in 16 fixed windows. Everything is
 // seeded via derive_stream_seed, so aggregates are bit-identical at any
 // --jobs value.
 #pragma once
@@ -115,9 +116,6 @@ struct TrafficConfig {
   /// Occupancy windows starting before this offset are excluded from the
   /// steady-state/peak statistics (circuit setup transient).
   Duration warmup = Duration::seconds(30);
-  std::size_t occupancy_windows = 16;
-  /// Per-trial cap on exported latency samples ("latency_res_s").
-  std::size_t latency_reservoir = 512;
 };
 
 /// Runs one seeded open-loop traffic trial.
@@ -129,17 +127,6 @@ struct TrafficConfig {
 /// occ_flat, consistency_ok, events. samples: occ_win_mean (post-warmup
 /// per-window mean occupancy, in window order), latency_res_s
 /// (reservoir-capped completed-request latencies).
-class TrafficEngine {
- public:
-  TrafficEngine(const TrafficConfig& cfg, std::uint64_t seed);
-  [[nodiscard]] TrialResult run();
-
- private:
-  TrafficConfig cfg_;
-  std::uint64_t seed_;
-};
-
-/// Convenience wrapper matching the scenario-library shape.
 [[nodiscard]] TrialResult traffic_trial(const TrafficConfig& cfg, std::uint64_t seed);
 
 }  // namespace qnetp::exp

@@ -8,11 +8,11 @@ namespace qnetp::bench {
 namespace {
 
 BenchArgs parse(std::initializer_list<const char*> cli,
-                const std::function<bool(const std::string&)>& extra =
-                    nullptr) {
+                const char* default_out = nullptr) {
   std::vector<char*> argv{const_cast<char*>("bench")};
   for (const char* a : cli) argv.push_back(const_cast<char*>(a));
-  return BenchArgs::parse(static_cast<int>(argv.size()), argv.data(), extra);
+  return BenchArgs::parse(static_cast<int>(argv.size()), argv.data(),
+                          default_out);
 }
 
 TEST(BenchArgs, Defaults) {
@@ -45,18 +45,15 @@ TEST(BenchArgs, RunnerReflectsFlags) {
   EXPECT_EQ(runner.options().base_seed, 5u);
 }
 
-TEST(BenchArgs, ExtraHandlerConsumesItsFlags) {
-  std::string captured;
-  const BenchArgs args = parse({"--runs=2", "--out=/tmp/x.json"},
-                               [&captured](const std::string& a) {
-                                 if (a.rfind("--out=", 0) == 0) {
-                                   captured = a.substr(6);
-                                   return true;
-                                 }
-                                 return false;
-                               });
+TEST(BenchArgs, OutDefaultsToTheBinarysPath) {
+  EXPECT_EQ(parse({}, "BENCH_x.json").out, "BENCH_x.json");
+  EXPECT_EQ(parse({}).out, "");
+}
+
+TEST(BenchArgs, OutOverridesTheDefault) {
+  const BenchArgs args = parse({"--runs=2", "--out=x/y.json"}, "BENCH_x.json");
   EXPECT_EQ(args.runs, 2u);
-  EXPECT_EQ(captured, "/tmp/x.json");
+  EXPECT_EQ(args.out, "x/y.json");
 }
 
 using BenchArgsDeath = ::testing::Test;
@@ -86,6 +83,16 @@ TEST(BenchArgsDeath, RejectsMalformedSeed) {
               "bad value for --seed");
   EXPECT_EXIT(parse({"--seed=0"}), ::testing::ExitedWithCode(2),
               "bad value for --seed");
+}
+
+TEST(BenchArgsDeath, RejectsEmptyOut) {
+  EXPECT_EXIT(parse({"--out="}, "BENCH_x.json"),
+              ::testing::ExitedWithCode(2), "bad value for --out");
+}
+
+TEST(BenchArgsDeath, OutIsUnknownWithoutAJsonResult) {
+  EXPECT_EXIT(parse({"--out=x"}), ::testing::ExitedWithCode(2),
+              "unknown argument: --out=x");
 }
 
 TEST(BenchArgsDeath, RejectsUnknownArgument) {

@@ -1,8 +1,8 @@
-// chaos_trial: smoke accounting under the default fault profile, the
+// chaos_trial: smoke accounting under the chaos fault profile, the
 // fault-free degenerate case, determinism for a fixed seed, digest
 // invariance across shard counts, and the partition-vs-sever view
 // equivalence that bench/chaos_soak gates on.
-#include "exp/chaos.hpp"
+#include "exp/churn.hpp"
 
 #include <gtest/gtest.h>
 
@@ -13,8 +13,8 @@ namespace {
 
 using namespace qnetp::literals;
 
-ChaosConfig tiny_config() {
-  ChaosConfig cfg;
+ChurnConfig tiny_config() {
+  ChurnConfig cfg = chaos_config();
   cfg.family = TopologyFamily::grid;
   cfg.size = 3;
   cfg.n_circuits = 2;
@@ -43,7 +43,7 @@ TEST(ChaosTrial, RunsCleanUnderDefaultFaults) {
 }
 
 TEST(ChaosTrial, FaultFreeProfileInjectsNothing) {
-  ChaosConfig cfg = tiny_config();
+  ChurnConfig cfg = tiny_config();
   cfg.faults = netmsg::FaultProfile{};
   const auto r = chaos_trial(cfg, 4242);
   EXPECT_EQ(r.scalars.at("ok"), 1.0);
@@ -68,14 +68,14 @@ TEST(ChaosTrial, DeterministicForAFixedSeed) {
 }
 
 TEST(ChaosTrial, DigestInvariantAcrossShardCounts) {
-  ChaosConfig cfg = tiny_config();
+  ChurnConfig cfg = tiny_config();
   cfg.regions = 4;
   cfg.region_rows = 2;
   cfg.region_cols = 2;
   cfg.n_circuits = 1;
   std::uint64_t baseline = 0;
   for (const std::size_t shards : {1u, 2u, 4u}) {
-    ChaosConfig run_cfg = cfg;
+    ChurnConfig run_cfg = cfg;
     run_cfg.shards = shards;
     SummaryAccumulator acc;
     acc.add(chaos_trial(run_cfg, 7));
@@ -89,15 +89,12 @@ TEST(ChaosTrial, DigestInvariantAcrossShardCounts) {
 }
 
 TEST(ChaosTrial, SilentPartitionMatchesExplicitSever) {
-  ChaosConfig cfg = tiny_config();
+  ChurnConfig cfg = tiny_config();
   cfg.horizon = 6_s;
-  cfg.cut_link = true;
-  cfg.cut_at = 2_s;
-  cfg.cut_a = NodeId{1};
-  cfg.cut_b = NodeId{2};
-  cfg.silent_partition = true;
+  cfg.events = {{.kind = ChurnEventKind::partition, .at = 2_s,
+                 .a = NodeId{1}, .b = NodeId{2}}};
   const auto partitioned = chaos_trial(cfg, 5);
-  cfg.silent_partition = false;
+  cfg.events[0].kind = ChurnEventKind::sever;
   const auto severed = chaos_trial(cfg, 5);
   // The partition is only observable through the transport's verdicts
   // (the sever twin reaches its verdicts too — flooding keeps probing

@@ -1,5 +1,6 @@
 // shard_scaling scenario: digest invariance across shard counts on a
-// small multi-region fabric, plus structural checks on the spec.
+// small multi-region fabric, plus structural checks on its
+// region_grid_spec fabric and region_flow_endpoints layout.
 #include "exp/shard_scaling.hpp"
 
 #include <gtest/gtest.h>
@@ -26,7 +27,7 @@ ShardScalingConfig tiny_config() {
 }
 
 TEST(ShardScaling, SpecShape) {
-  const auto spec = shard_scaling_spec(tiny_config());
+  const auto spec = region_grid_spec(4, 2, 2);
   spec.validate();
   EXPECT_EQ(spec.node_count(), 16u);
   EXPECT_EQ(spec.region_count(), 4u);
@@ -35,9 +36,24 @@ TEST(ShardScaling, SpecShape) {
   EXPECT_TRUE(spec.connected());
 }
 
+TEST(ShardScaling, RegionFlowEndpointsStayInTheirRegion) {
+  // 2 regions of 2x4: each circuit spans 3 hops along one row.
+  const auto flows = region_flow_endpoints(2, 2, 4, 3);
+  ASSERT_EQ(flows.size(), 6u);
+  EXPECT_EQ(flows[0], std::pair(NodeId{1}, NodeId{4}));
+  EXPECT_EQ(flows[1], std::pair(NodeId{5}, NodeId{8}));
+  EXPECT_EQ(flows[3], std::pair(NodeId{9}, NodeId{12}));
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const std::uint64_t first = (i / 3) * 8 + 1;
+    EXPECT_GE(flows[i].first.value(), first);
+    EXPECT_LT(flows[i].second.value(), first + 8);
+  }
+}
+
 TEST(ShardScaling, DefaultConfigMeetsTheBenchFloor) {
   const ShardScalingConfig cfg;
-  const auto spec = shard_scaling_spec(cfg);
+  const auto spec =
+      region_grid_spec(cfg.regions, cfg.region_rows, cfg.region_cols);
   EXPECT_GE(spec.node_count(), 100u);
   EXPECT_GE(cfg.regions * cfg.circuits_per_region, 50u);
 }

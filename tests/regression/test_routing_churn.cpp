@@ -1,110 +1,37 @@
 // Tier-2 routing-churn regression.
 //
-// Pins churn_trial aggregate digests for fixed seeds against baselines
-// committed in tests/regression/golden/routing.txt, and asserts the
-// determinism invariants behind bench/routing_churn's gates: identical
-// digests across TrialRunner worker counts (--jobs) and across the
-// execution-shard fold of the multi-region fabric (--shards), plus the
-// per-trial cleanliness contract (ok, engine-consistent, leak-free).
+// Pins churn_trial and chaos_trial aggregate digests for fixed seeds
+// against baselines committed in tests/regression/golden/routing.txt,
+// and asserts the determinism invariants behind bench/routing_churn's
+// gates: identical digests across TrialRunner worker counts (--jobs) and
+// across the execution-shard fold of the multi-region fabric (--shards),
+// plus the per-trial cleanliness contract (ok, engine-consistent,
+// leak-free).
 //
-// Environment knobs:
-//  * QNETP_REGEN_GOLDEN=1 — rewrite the golden digests from this build
-//    (inspect the diff, commit);
-//  * QNETP_REGRESSION_QUICK=1 — CI smoke mode: trims the invariance
-//    sweeps. The digest-pinned configs run identically in both modes (a
-//    digest over different trials would never match), so quick mode does
-//    not weaken the golden comparison.
+// Environment knobs (see digest_golden.hpp): QNETP_REGEN_GOLDEN=1 and
+// QNETP_REGRESSION_QUICK=1, which trims the invariance sweeps. The
+// digest-pinned configs run identically in both modes (a digest over
+// different trials would never match), so quick mode does not weaken
+// the golden comparison.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 
 #include "exp/churn.hpp"
 #include "exp/runner.hpp"
 #include "exp/summary.hpp"
-
-#ifndef QNETP_GOLDEN_DIR
-#error "QNETP_GOLDEN_DIR must point at tests/regression/golden"
-#endif
+#include "tests/regression/digest_golden.hpp"
 
 namespace qnetp::exp {
 namespace {
 
-bool env_flag(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
+using namespace qnetp::literals;
 
-bool quick_mode() { return env_flag("QNETP_REGRESSION_QUICK"); }
-
-/// Exact-match golden store: `name value` per line (16-digit hex
-/// digests) — no tolerance band, digests either replay or they don't.
-class RoutingGolden {
- public:
-  static RoutingGolden& instance() {
-    static RoutingGolden store;
-    return store;
-  }
-
-  void check(const std::string& name, const std::string& value) {
-    if (regen_) {
-      recorded_[name] = value;
-      return;
-    }
-    const auto it = golden_.find(name);
-    ASSERT_NE(it, golden_.end())
-        << "no golden value for '" << name
-        << "' — run with QNETP_REGEN_GOLDEN=1 and commit the result";
-    EXPECT_EQ(value, it->second)
-        << "'" << name << "' no longer replays bit-identically";
-  }
-
-  void flush() {
-    if (!regen_) return;
-    auto merged = golden_;
-    for (const auto& [name, v] : recorded_) merged[name] = v;
-    const std::string path = file_path();
-    std::ofstream out(path);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << "# Golden digests for the tier-2 routing-churn regression "
-           "suite.\n"
-        << "# Regenerate: QNETP_REGEN_GOLDEN=1 "
-           "./qnetp_regression_test_routing_churn\n"
-        << "# Format: <name> <value>\n";
-    for (const auto& [name, v] : merged) out << name << " " << v << "\n";
-  }
-
- private:
-  RoutingGolden() : regen_(env_flag("QNETP_REGEN_GOLDEN")) {
-    std::ifstream in(file_path());
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty() || line[0] == '#') continue;
-      std::istringstream ls(line);
-      std::string name, value;
-      if (ls >> name >> value) golden_[name] = value;
-    }
-  }
-
-  static std::string file_path() {
-    return std::string(QNETP_GOLDEN_DIR) + "/routing.txt";
-  }
-
-  bool regen_;
-  std::map<std::string, std::string> golden_;
-  std::map<std::string, std::string> recorded_;
-};
-
-class GoldenFlusher : public ::testing::Environment {
- public:
-  void TearDown() override { RoutingGolden::instance().flush(); }
-};
-const auto* const kFlusher =
-    ::testing::AddGlobalTestEnvironment(new GoldenFlusher);
+DigestGolden* const kGolden =
+    static_cast<DigestGolden*>(::testing::AddGlobalTestEnvironment(
+        new DigestGolden("routing.txt", "routing-churn regression",
+                         "qnetp_regression_test_routing_churn")));
 
 /// Single-region grid with the full scripted fault timeline, trimmed to
 /// a horizon that still covers sever + degrade + heal.
@@ -115,7 +42,7 @@ ChurnConfig grid_config() {
   cfg.n_circuits = 3;
   cfg.n_guaranteed = 1;
   cfg.requested_eer = 0.5;
-  cfg.horizon = Duration::seconds(16);
+  cfg.horizon = 16_s;
   cfg.events = default_churn_timeline(cfg.family, cfg.size);
   return cfg;
 }
@@ -130,36 +57,18 @@ ChurnConfig regions_config() {
   cfg.n_circuits = 2;
   cfg.n_guaranteed = 1;
   cfg.requested_eer = 0.5;
-  cfg.horizon = Duration::seconds(10);
-  auto link_event = [&](ChurnEventKind kind, double at_s, std::uint64_t a,
-                        std::uint64_t b) {
-    ChurnEvent e;
-    e.kind = kind;
-    e.at = Duration::seconds(at_s);
-    e.a = NodeId{a};
-    e.b = NodeId{b};
-    cfg.events.push_back(e);
-  };
-  link_event(ChurnEventKind::sever, 2.0, 1, 2);
-  link_event(ChurnEventKind::degrade, 4.0, 7, 8);
-  cfg.events.back().cost_factor = 5.0;
-  ChurnEvent crowd;
-  crowd.kind = ChurnEventKind::flash_crowd;
-  crowd.at = Duration::seconds(6);
-  cfg.events.push_back(crowd);
+  cfg.horizon = 10_s;
+  using K = ChurnEventKind;
+  cfg.events = {
+      {.kind = K::sever, .at = 2_s, .a = NodeId{1}, .b = NodeId{2}},
+      {.kind = K::degrade, .at = 4_s, .a = NodeId{7}, .b = NodeId{8},
+       .cost_factor = 5.0},
+      {.kind = K::flash_crowd, .at = 6_s}};
   return cfg;
-}
-
-std::string digest_hex(const SummaryAccumulator& acc) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(acc.digest()));
-  return buf;
 }
 
 TEST(RoutingChurnRegression, DigestMatchesGolden) {
   // Fixed trial count in BOTH modes: the digest covers every trial.
-  auto& golden = RoutingGolden::instance();
   const std::map<std::string, ChurnConfig> configs = {
       {"routing.churn_grid3.digest", grid_config()},
       {"routing.churn_regions4.digest", regions_config()},
@@ -173,7 +82,53 @@ TEST(RoutingChurnRegression, DigestMatchesGolden) {
       EXPECT_DOUBLE_EQ(r.scalar_or("leak_free", 0.0), 1.0) << name;
       EXPECT_DOUBLE_EQ(r.scalar_or("quiescent", 0.0), 1.0) << name;
     }
-    golden.check(name, digest_hex(SummaryAccumulator::aggregate(results)));
+    kGolden->check(name,
+                   digest_hex(SummaryAccumulator::aggregate(results)));
+  }
+}
+
+/// test_chaos's tiny grid under the chaos fault profile.
+ChurnConfig chaos_grid_config() {
+  ChurnConfig cfg = chaos_config();
+  cfg.family = TopologyFamily::grid;
+  cfg.size = 3;
+  cfg.n_circuits = 2;
+  cfg.pairs_per_request = 2;
+  cfg.warmup = 2_s;
+  cfg.horizon = 4_s;
+  cfg.drain = 1_s;
+  return cfg;
+}
+
+TEST(RoutingChurnRegression, ChaosDigestMatchesGolden) {
+  // test_chaos's 4-region fabric of 2x2 grids, one circuit per region.
+  ChurnConfig regions = chaos_grid_config();
+  regions.regions = 4;
+  regions.region_rows = 2;
+  regions.region_cols = 2;
+  regions.n_circuits = 1;
+  // The tiny grid with link 1-2 silently partitioned at 2 s.
+  ChurnConfig partition = chaos_grid_config();
+  partition.horizon = 6_s;
+  partition.events = {{.kind = ChurnEventKind::partition, .at = 2_s,
+                       .a = NodeId{1}, .b = NodeId{2}}};
+  const std::map<std::string, ChurnConfig> configs = {
+      {"routing.chaos_grid3.digest", chaos_grid_config()},
+      {"routing.chaos_regions4.digest", regions},
+      {"routing.chaos_partition.digest", partition},
+  };
+  for (const auto& [name, cfg] : configs) {
+    const auto results = TrialRunner({1, 0x9C0DE}).run(
+        2, [&](const Trial& t) { return chaos_trial(cfg, t.seed); });
+    for (const auto& r : results) {
+      EXPECT_DOUBLE_EQ(r.scalar_or("ok", 0.0), 1.0) << name;
+      EXPECT_DOUBLE_EQ(r.scalar_or("consistency_ok", 0.0), 1.0) << name;
+      EXPECT_DOUBLE_EQ(r.scalar_or("leak_free", 0.0), 1.0) << name;
+      EXPECT_DOUBLE_EQ(r.scalar_or("quiescent", 0.0), 1.0) << name;
+      EXPECT_DOUBLE_EQ(r.scalar_or("conservation_ok", 0.0), 1.0) << name;
+    }
+    kGolden->check(name,
+                   digest_hex(SummaryAccumulator::aggregate(results)));
   }
 }
 

@@ -1,110 +1,34 @@
 // Tier-2 open-loop traffic regression.
 //
-// Pins the TrafficEngine's aggregate digest (scalars + pooled latency
+// Pins traffic_trial's aggregate digest (scalars + pooled latency
 // reservoir) for fixed seeds against baselines committed in
 // tests/regression/golden/traffic.txt, and asserts the soak invariants
 // every healthy build must satisfy: flat flow-table occupancy, clean
 // engine consistency checks, exact accept/shape/reject accounting, and
 // bit-identical aggregation across worker counts.
 //
-// Environment knobs:
-//  * QNETP_REGEN_GOLDEN=1 — rewrite the golden digests from this build
-//    (inspect the diff, commit);
-//  * QNETP_REGRESSION_QUICK=1 — CI smoke mode: trims the jobs-sweep
-//    trial count. The digest-pinned configs run identically in both
-//    modes (a digest over fewer trials would never match), so quick
-//    mode does not weaken the golden comparison.
+// Environment knobs (see digest_golden.hpp): QNETP_REGEN_GOLDEN=1 and
+// QNETP_REGRESSION_QUICK=1, which trims the jobs-sweep trial count. The
+// digest-pinned configs run identically in both modes (a digest over
+// fewer trials would never match), so quick mode does not weaken the
+// golden comparison.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 
 #include "exp/runner.hpp"
 #include "exp/summary.hpp"
 #include "exp/traffic.hpp"
-
-#ifndef QNETP_GOLDEN_DIR
-#error "QNETP_GOLDEN_DIR must point at tests/regression/golden"
-#endif
+#include "tests/regression/digest_golden.hpp"
 
 namespace qnetp::exp {
 namespace {
 
-bool env_flag(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
-bool quick_mode() { return env_flag("QNETP_REGRESSION_QUICK"); }
-
-/// Exact-match golden store: `name value` per line, values are opaque
-/// strings (here: 16-digit hex digests). Unlike the statistical suite
-/// there is no tolerance band — digests either replay or they don't.
-class TrafficGolden {
- public:
-  static TrafficGolden& instance() {
-    static TrafficGolden store;
-    return store;
-  }
-
-  void check(const std::string& name, const std::string& value) {
-    if (regen_) {
-      recorded_[name] = value;
-      return;
-    }
-    const auto it = golden_.find(name);
-    ASSERT_NE(it, golden_.end())
-        << "no golden value for '" << name
-        << "' — run with QNETP_REGEN_GOLDEN=1 and commit the result";
-    EXPECT_EQ(value, it->second)
-        << "'" << name << "' no longer replays bit-identically";
-  }
-
-  void flush() {
-    if (!regen_) return;
-    auto merged = golden_;
-    for (const auto& [name, v] : recorded_) merged[name] = v;
-    const std::string path = file_path();
-    std::ofstream out(path);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << "# Golden digests for the tier-2 traffic regression suite.\n"
-        << "# Regenerate: QNETP_REGEN_GOLDEN=1 "
-           "./qnetp_regression_test_traffic_soak\n"
-        << "# Format: <name> <value>\n";
-    for (const auto& [name, v] : merged) out << name << " " << v << "\n";
-  }
-
- private:
-  TrafficGolden() : regen_(env_flag("QNETP_REGEN_GOLDEN")) {
-    std::ifstream in(file_path());
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty() || line[0] == '#') continue;
-      std::istringstream ls(line);
-      std::string name, value;
-      if (ls >> name >> value) golden_[name] = value;
-    }
-  }
-
-  static std::string file_path() {
-    return std::string(QNETP_GOLDEN_DIR) + "/traffic.txt";
-  }
-
-  bool regen_;
-  std::map<std::string, std::string> golden_;
-  std::map<std::string, std::string> recorded_;
-};
-
-class GoldenFlusher : public ::testing::Environment {
- public:
-  void TearDown() override { TrafficGolden::instance().flush(); }
-};
-const auto* const kFlusher =
-    ::testing::AddGlobalTestEnvironment(new GoldenFlusher);
+DigestGolden* const kGolden =
+    static_cast<DigestGolden*>(::testing::AddGlobalTestEnvironment(
+        new DigestGolden("traffic.txt", "traffic regression",
+                         "qnetp_regression_test_traffic_soak")));
 
 /// The reservoir registration must match the soak bench exactly: the
 /// digest hashes the pooled reservoir channel.
@@ -137,16 +61,8 @@ TrafficConfig mmpp_config() {
   return cfg;
 }
 
-std::string digest_hex(const SummaryAccumulator& acc) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(acc.digest()));
-  return buf;
-}
-
 TEST(TrafficRegression, DigestMatchesGolden) {
   // Fixed trial count in BOTH modes: the digest covers every trial.
-  auto& golden = TrafficGolden::instance();
   const std::map<std::string, TrafficConfig> configs = {
       {"traffic.poisson_grid3.digest", poisson_config()},
       {"traffic.mmpp_ring8.digest", mmpp_config()},
@@ -157,7 +73,7 @@ TEST(TrafficRegression, DigestMatchesGolden) {
              2, [&](const Trial& t) { return traffic_trial(cfg, t.seed); })) {
       acc.add(r);
     }
-    golden.check(name, digest_hex(acc));
+    kGolden->check(name, digest_hex(acc));
   }
 }
 
