@@ -4,6 +4,8 @@
 // ablations (baseline oracle, blocking tracking).
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "netsim/network.hpp"
 #include "netsim/probe.hpp"
 
@@ -116,6 +118,110 @@ TEST(RequestClasses, EarlyDeliveryHandsQubitBeforeTracking) {
   EXPECT_EQ(early, 5u);
   EXPECT_EQ(tracked, 5u);
   EXPECT_EQ(net->engine(NodeId{1}).counters().early_deliveries, 5u);
+  net->sim().stop();
+}
+
+TEST(RequestClasses, EarlyDeliveryAtTailTakesHeadIdentityFromTracking) {
+  NetworkConfig config;
+  config.seed = 17;
+  auto net = make_chain(3, config, qhw::simulation_preset(),
+                        qhw::FiberParams::lab(2.0));
+  Probe head(*net, NodeId{1}, EndpointId{10});
+  Probe tail(*net, NodeId{3}, EndpointId{20});
+  const auto plan = net->establish_circuit(
+      NodeId{1}, NodeId{3}, EndpointId{10}, EndpointId{20}, 0.85);
+  ASSERT_TRUE(plan.has_value());
+  qnp::AppRequest r = keep_request(1, 5);
+  r.type = RequestType::early;
+  ASSERT_TRUE(
+      net->engine(NodeId{1}).submit_request(plan->install.circuit_id, r));
+  net->sim().run_until(net->sim().now() + 30_s);
+
+  // The tail hands each qubit over before the head's numbering reaches it.
+  ASSERT_GE(tail.delivered_count(), 5u);
+  for (const auto& rec : tail.deliveries()) {
+    EXPECT_TRUE(rec.delivery.tracking_pending);
+    EXPECT_EQ(rec.delivery.sequence, 0u);
+    EXPECT_TRUE(rec.delivery.qubit.valid());
+  }
+  // Tracking then names every pair identically at both ends.
+  using Key = std::pair<RequestId, std::uint64_t>;
+  const auto keys = [](const Probe& p) {
+    std::set<Key> out;
+    for (const auto& rec : p.tracking_updates()) {
+      EXPECT_FALSE(rec.delivery.tracking_pending);
+      out.emplace(rec.delivery.request, rec.delivery.sequence);
+    }
+    return out;
+  };
+  const std::set<Key> expected = {{RequestId{1}, 1}, {RequestId{1}, 2},
+                                  {RequestId{1}, 3}, {RequestId{1}, 4},
+                                  {RequestId{1}, 5}};
+  EXPECT_EQ(keys(head), expected);
+  EXPECT_EQ(keys(tail), expected);
+  EXPECT_EQ(head.tracking_updates().size(), 5u);
+  EXPECT_EQ(tail.tracking_updates().size(), 5u);
+  // Every tail hand-over beyond the five was surplus and got expired.
+  EXPECT_EQ(tail.delivered_count(), 5u + tail.expire_count());
+  EXPECT_TRUE(net->quiescent());
+  net->sim().stop();
+}
+
+TEST(RequestClasses, EarlyPairsBrokenByCutoffExpireAtBothEnds) {
+  NetworkConfig config;
+  config.seed = 11;
+  auto hw = qhw::simulation_preset();
+  hw.phys.electron_t2 = 1_s;  // short memory: cutoffs break chains
+  auto net = make_chain(3, config, hw, qhw::FiberParams::lab(2.0));
+
+  // An EARLY application holding each qubit until its tracking update or
+  // its expiry, then releasing it.
+  struct End {
+    std::size_t handed_over = 0;
+    std::size_t tracked = 0;
+    std::size_t expired = 0;
+  };
+  End ends[2];
+  const auto attach = [&](NodeId node, EndpointId endpoint, End& end) {
+    qnp::EndpointHandlers h;
+    h.on_pair = [&end](const qnp::PairDelivery& d) {
+      EXPECT_TRUE(d.tracking_pending);
+      EXPECT_TRUE(d.qubit.valid());
+      ++end.handed_over;
+    };
+    h.on_tracking = [&net, node, &end](const qnp::PairDelivery& d) {
+      ++end.tracked;
+      net->engine(node).release_app_qubit(d.qubit);
+    };
+    h.on_expire = [&net, node, &end](CircuitId, RequestId, QubitId qubit) {
+      ++end.expired;
+      ASSERT_TRUE(qubit.valid());
+      net->engine(node).release_app_qubit(qubit);
+    };
+    net->engine(node).register_endpoint(endpoint, std::move(h));
+  };
+  attach(NodeId{1}, EndpointId{10}, ends[0]);
+  attach(NodeId{3}, EndpointId{20}, ends[1]);
+
+  const auto plan = net->establish_circuit(
+      NodeId{1}, NodeId{3}, EndpointId{10}, EndpointId{20}, 0.8);
+  ASSERT_TRUE(plan.has_value());
+  ASSERT_LT(plan->cutoff, 100_ms);
+  qnp::AppRequest r = keep_request(1, 10);
+  r.type = RequestType::early;
+  ASSERT_TRUE(
+      net->engine(NodeId{1}).submit_request(plan->install.circuit_id, r));
+  net->sim().run_until(net->sim().now() + 60_s);
+  net->sim().run_until(net->sim().now() + 5_s);
+
+  EXPECT_GT(net->engine(NodeId{2}).counters().pairs_discarded_cutoff, 0u);
+  for (const End& end : ends) {
+    EXPECT_EQ(end.tracked, 10u);
+    EXPECT_GT(end.expired, 0u);
+    // Every qubit handed over came back through exactly one of the two.
+    EXPECT_EQ(end.handed_over, end.tracked + end.expired);
+  }
+  EXPECT_TRUE(net->quiescent());
   net->sim().stop();
 }
 
