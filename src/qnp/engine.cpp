@@ -212,12 +212,12 @@ void QnpEngine::handle_teardown(NodeId from, const TeardownMsg& msg) {
   cancel_downstream_link_request(*cs);
 
   // Release queued qubits at intermediate nodes.
-  for (auto* queue : {&cs->up_queue, &cs->down_queue}) {
-    for (auto& q : *queue) {
+  for (Side* side : {&cs->up, &cs->down}) {
+    for (auto& q : side->queue) {
       q.cutoff.cancel();
       device_.discard(q.qubit);
     }
-    queue->clear();
+    side->queue.clear();
   }
   // Release end-node qubits still held by the protocol.
   cs->in_transit.for_each([&](const PairCorrelator&, InTransit& entry) {
@@ -238,9 +238,7 @@ void QnpEngine::handle_teardown(NodeId from, const TeardownMsg& msg) {
 
   // Notify applications of aborted requests.
   if (cs->is_head() || cs->is_tail()) {
-    const EndpointId ep =
-        cs->is_head() ? cs->head_endpoint : cs->tail_endpoint;
-    if (const auto* handlers = handlers_for(ep);
+    if (const auto* handlers = handlers_for(cs->local_endpoint());
         handlers != nullptr && handlers->on_circuit_down) {
       handlers->on_circuit_down(msg.circuit_id, msg.reason);
     }
@@ -400,7 +398,6 @@ bool QnpEngine::submit_request(CircuitId circuit_id, const AppRequest& request,
 void QnpEngine::start_request(CircuitState& cs, const AppRequest& request) {
   RequestState state;
   state.request = request;
-  state.accepted_at = sim_.now();
   cs.requests[request.id] = state;
   cs.demux.add_request(request.id, request.num_pairs);
   cs.committed_eer += request.min_eer();
@@ -469,7 +466,6 @@ void QnpEngine::handle_forward(NodeId /*from*/, const ForwardMsg& msg) {
     state.request.measure_basis = msg.measure_basis;
     state.request.num_pairs = msg.number_of_pairs;
     state.request.final_state = msg.final_state;
-    state.accepted_at = sim_.now();
     cs->requests[msg.request_id] = state;
     cs->demux.add_request(msg.request_id, msg.number_of_pairs);
     return;
@@ -554,20 +550,8 @@ void QnpEngine::on_link_pair(const LinkPairDelivery& d) {
 }
 
 void QnpEngine::link_rule_head(CircuitState& cs, const LinkPairDelivery& d) {
-  InTransit entry;
-  entry.qubit = d.local_qubit;
-  entry.local_announced = d.announced;
-  entry.pair = d.pair;
-  entry.birth = sim_.now();
-
-  TrackMsg track;
-  track.circuit_id = cs.id;
-  track.head_end_identifier = cs.head_endpoint;
-  track.tail_end_identifier = cs.tail_endpoint;
-  track.origin_correlator = d.correlator;
-  track.link_correlator = d.correlator;
-  track.outcome_state = d.announced;
-  track.epoch = cs.demux.epoch();
+  InTransit entry{.qubit = d.local_qubit, .pair = d.pair};
+  TrackMsg track = link_track(cs, d);
 
   // Fidelity test rounds: every k-th pair is consumed for estimation.
   const bool test_due = config_.test_round_interval > 0 &&
@@ -579,7 +563,6 @@ void QnpEngine::link_rule_head(CircuitState& cs, const LinkPairDelivery& d) {
     entry.test_basis = random_basis(rng_);
     track.test_round = true;
     track.test_basis = entry.test_basis;
-    track.request_id = RequestId::invalid();
     TestRound round;
     round.basis = entry.test_basis;
     cs.tests.put(d.correlator, sim_.now(), round);
@@ -602,7 +585,6 @@ void QnpEngine::link_rule_head(CircuitState& cs, const LinkPairDelivery& d) {
       // No active request: tell the far end to release its qubit too.
       ++counters_.pairs_discarded_unassigned;
       device_.discard(entry.qubit);
-      track.request_id = RequestId::invalid();
       send(cs.downstream, track);
       ++counters_.tracks_originated;
       poke_adjacent_egps(cs);
@@ -613,40 +595,10 @@ void QnpEngine::link_rule_head(CircuitState& cs, const LinkPairDelivery& d) {
     entry.sequence = state.next_sequence++;
     track.request_id = *assigned;
     track.pair_sequence = entry.sequence;
-
     if (state.request.type == RequestType::measure) {
-      entry.is_measure = true;
-      const PairCorrelator corr = d.correlator;
-      const CircuitId cid = cs.id;
-      device_.measure(entry.qubit, state.request.measure_basis,
-                      [this, cid, corr](int o) {
-                        auto* c = find_circuit(cid);
-                        if (c == nullptr) return;
-                        auto* e = c->in_transit.find(corr);
-                        if (e == nullptr) return;
-                        e->measured = true;
-                        e->outcome = o;
-                        maybe_deliver(*c, corr);
-                      });
-      entry.qubit = QubitId::invalid();
+      measure_in_transit(cs, d.correlator, entry, state.request.measure_basis);
     } else if (state.request.type == RequestType::early) {
-      // Deliver the qubit immediately; tracking info follows.
-      entry.early_delivered = true;
-      ++counters_.early_deliveries;
-      app_qubits_[entry.qubit] = cs.id;
-      if (const auto* handlers = handlers_for(cs.head_endpoint);
-          handlers != nullptr && handlers->on_pair) {
-        PairDelivery out;
-        out.circuit = cs.id;
-        out.request = entry.request;
-        out.sequence = entry.sequence;
-        out.state = d.announced;  // provisional; final frame follows
-        out.qubit = entry.qubit;
-        out.tracking_pending = true;
-        out.pair = entry.pair;
-        out.delivered_at = sim_.now();
-        handlers->on_pair(out);
-      }
+      hand_over_early(cs, entry, d.announced);
     }
   }
 
@@ -656,66 +608,82 @@ void QnpEngine::link_rule_head(CircuitState& cs, const LinkPairDelivery& d) {
 }
 
 void QnpEngine::link_rule_tail(CircuitState& cs, const LinkPairDelivery& d) {
-  InTransit entry;
-  entry.qubit = d.local_qubit;
-  entry.local_announced = d.announced;
-  entry.pair = d.pair;
-  entry.birth = sim_.now();
-
-  const auto assigned = cs.demux.next_request();
-  if (assigned.has_value()) {
+  InTransit entry{.qubit = d.local_qubit, .pair = d.pair};
+  if (const auto assigned = cs.demux.next_request()) {
     entry.request = *assigned;
-    const auto it = cs.requests.find(*assigned);
-    if (it != cs.requests.end()) {
-      if (it->second.request.type == RequestType::measure) {
-        entry.is_measure = true;
-        const PairCorrelator corr = d.correlator;
-        const CircuitId cid = cs.id;
-        device_.measure(entry.qubit, it->second.request.measure_basis,
-                        [this, cid, corr](int o) {
-                          auto* c = find_circuit(cid);
-                          if (c == nullptr) return;
-                          auto* e = c->in_transit.find(corr);
-                          if (e == nullptr) return;
-                          e->measured = true;
-                          e->outcome = o;
-                          maybe_deliver(*c, corr);
-                        });
-        entry.qubit = QubitId::invalid();
-      } else if (it->second.request.type == RequestType::early) {
-        entry.early_delivered = true;
-        ++counters_.early_deliveries;
-        app_qubits_[entry.qubit] = cs.id;
-        if (const auto* handlers = handlers_for(cs.tail_endpoint);
-            handlers != nullptr && handlers->on_pair) {
-          PairDelivery out;
-          out.circuit = cs.id;
-          out.request = entry.request;
-          out.sequence = 0;  // head numbering arrives with the TRACK
-          out.state = d.announced;
-          out.qubit = entry.qubit;
-          out.tracking_pending = true;
-          out.pair = entry.pair;
-          out.delivered_at = sim_.now();
-          handlers->on_pair(out);
-        }
+    if (const auto it = cs.requests.find(*assigned); it != cs.requests.end()) {
+      const AppRequest& request = it->second.request;
+      if (request.type == RequestType::measure) {
+        measure_in_transit(cs, d.correlator, entry, request.measure_basis);
+      } else if (request.type == RequestType::early) {
+        hand_over_early(cs, entry, d.announced);
       }
     }
   }
 
+  TrackMsg track = link_track(cs, d);
+  track.request_id = entry.request;  // may be invalid: cross-check only
+  cs.in_transit.put(d.correlator, sim_.now(), std::move(entry));
+  send(cs.upstream, track);
+  ++counters_.tracks_originated;
+}
+
+TrackMsg QnpEngine::link_track(const CircuitState& cs,
+                               const LinkPairDelivery& d) const {
+  // The TRACK an end-node originates for a new link-pair (Algorithms 1
+  // and 4); the caller fills in the pair's identity. Only the head sets
+  // an epoch.
   TrackMsg track;
   track.circuit_id = cs.id;
-  track.request_id = entry.request;  // may be invalid: cross-check only
   track.head_end_identifier = cs.head_endpoint;
   track.tail_end_identifier = cs.tail_endpoint;
   track.origin_correlator = d.correlator;
   track.link_correlator = d.correlator;
   track.outcome_state = d.announced;
-  track.epoch = 0;
+  if (cs.is_head()) track.epoch = cs.demux.epoch();
+  return track;
+}
 
-  cs.in_transit.put(d.correlator, sim_.now(), std::move(entry));
-  send(cs.upstream, track);
-  ++counters_.tracks_originated;
+void QnpEngine::measure_in_transit(CircuitState& cs,
+                                   const PairCorrelator& correlator,
+                                   InTransit& entry, Basis basis) {
+  // MEASURE delivery: measure now, withhold the outcome until the TRACK
+  // confirms the pair's identity.
+  entry.is_measure = true;
+  const CircuitId cid = cs.id;
+  device_.measure(entry.qubit, basis, [this, cid, corr = correlator](int o) {
+    auto* c = find_circuit(cid);
+    if (c == nullptr) return;
+    auto* e = c->in_transit.find(corr);
+    if (e == nullptr) return;
+    e->measured = true;
+    e->outcome = o;
+    maybe_deliver(*c, corr);
+  });
+  entry.qubit = QubitId::invalid();
+}
+
+void QnpEngine::hand_over_early(CircuitState& cs, InTransit& entry,
+                                BellIndex announced) {
+  // EARLY delivery: the qubit goes to the application at once; the TRACK
+  // later completes it through on_tracking. At the tail the sequence is
+  // still 0: the head's numbering arrives with its TRACK.
+  entry.early_delivered = true;
+  ++counters_.early_deliveries;
+  app_qubits_[entry.qubit] = cs.id;
+  if (const auto* handlers = handlers_for(cs.local_endpoint());
+      handlers != nullptr && handlers->on_pair) {
+    PairDelivery out;
+    out.circuit = cs.id;
+    out.request = entry.request;
+    out.sequence = entry.sequence;
+    out.state = announced;  // provisional; final frame follows
+    out.qubit = entry.qubit;
+    out.tracking_pending = true;
+    out.pair = entry.pair;
+    out.delivered_at = sim_.now();
+    handlers->on_pair(out);
+  }
 }
 
 void QnpEngine::link_rule_intermediate(CircuitState& cs,
@@ -761,7 +729,6 @@ void QnpEngine::enqueue_intermediate_pair(CircuitState& cs,
   q.correlator = correlator;
   q.qubit = qubit;
   q.announced = announced;
-  q.birth = sim_.now();
   if (config_.decoherence == DecoherencePolicy::cutoff) {
     const CircuitId cid = cs.id;
     const PairCorrelator corr = correlator;
@@ -772,7 +739,7 @@ void QnpEngine::enqueue_intermediate_pair(CircuitState& cs,
                                                   from_upstream] {
       auto* c = find_circuit(cid);
       if (c == nullptr) return;
-      auto& queue = from_upstream ? c->up_queue : c->down_queue;
+      auto& queue = c->side(from_upstream).queue;
       const auto it = std::find_if(
           queue.begin(), queue.end(),
           [&corr](const QueuedPair& p) { return p.correlator == corr; });
@@ -782,8 +749,7 @@ void QnpEngine::enqueue_intermediate_pair(CircuitState& cs,
       expire_rule_intermediate(*c, from_upstream, corr, expired_qubit);
     });
   }
-  auto& queue = from_upstream ? cs.up_queue : cs.down_queue;
-  queue.push_back(std::move(q));
+  cs.side(from_upstream).queue.push_back(std::move(q));
   try_swap(cs);
 }
 
@@ -792,17 +758,17 @@ void QnpEngine::enqueue_intermediate_pair(CircuitState& cs,
 // ---------------------------------------------------------------------------
 
 void QnpEngine::try_swap(CircuitState& cs) {
-  while (!cs.up_queue.empty() && !cs.down_queue.empty()) {
+  while (!cs.up.queue.empty() && !cs.down.queue.empty()) {
     if (!config_.lazy_tracking) {
       // Blocking-tracking ablation: wait for the downstream-travelling
       // TRACK of the upstream pair before swapping.
-      if (!cs.up_track_buf.contains(cs.up_queue.front().correlator)) return;
+      if (!cs.up.track_buf.contains(cs.up.queue.front().correlator)) return;
     }
     // "Entanglement swaps always prefer the oldest unexpired pairs."
-    QueuedPair up = std::move(cs.up_queue.front());
-    cs.up_queue.pop_front();
-    QueuedPair down = std::move(cs.down_queue.front());
-    cs.down_queue.pop_front();
+    QueuedPair up = std::move(cs.up.queue.front());
+    cs.up.queue.pop_front();
+    QueuedPair down = std::move(cs.down.queue.front());
+    cs.down.queue.pop_front();
     up.cutoff.cancel();
     down.cutoff.cancel();
 
@@ -828,39 +794,38 @@ void QnpEngine::on_swap_complete(CircuitId circuit_id, SwapSide up,
   if (cs == nullptr) return;  // torn down mid-swap
   poke_adjacent_egps(*cs);
 
-  // Downstream-travelling TRACK waiting for this swap? (Alg 7 upstream
-  // branch.)
-  if (const TrackMsg* up_buf = cs->up_track_buf.find(up.correlator)) {
-    TrackMsg track = *up_buf;
-    cs->up_track_buf.erase(up.correlator);
-    track.link_correlator = down.correlator;
-    track.outcome_state =
-        track.outcome_state ^ down.announced ^ completion.announced;
-    send(cs->downstream, track);
-    ++counters_.tracks_forwarded;
-  } else {
-    cs->up_records.put(
-        up.correlator, sim_.now(),
-        SwapRecord{down.correlator, down.announced, completion.announced});
-  }
-
-  // Upstream-travelling TRACK waiting? (Alg 7 downstream branch.)
-  if (const TrackMsg* down_buf = cs->down_track_buf.find(down.correlator)) {
-    TrackMsg track = *down_buf;
-    cs->down_track_buf.erase(down.correlator);
-    track.link_correlator = up.correlator;
-    track.outcome_state =
-        track.outcome_state ^ up.announced ^ completion.announced;
-    send(cs->upstream, track);
-    ++counters_.tracks_forwarded;
-  } else {
-    cs->down_records.put(
-        down.correlator, sim_.now(),
-        SwapRecord{up.correlator, up.announced, completion.announced});
-  }
+  // Alg 7, once per side: the upstream pair's TRACK travels downstream
+  // and the downstream pair's upstream.
+  record_swap(cs->up, up, down, completion.announced, cs->downstream);
+  record_swap(cs->down, down, up, completion.announced, cs->upstream);
 
   gc_records(*cs);
   try_swap(*cs);
+}
+
+void QnpEngine::record_swap(Side& side, const SwapSide& self,
+                            const SwapSide& other, BellIndex outcome,
+                            NodeId toward) {
+  // Forward the TRACK already waiting for this side's pair, or keep a
+  // swap record for the one still to come.
+  const SwapRecord record{other.correlator, other.announced, outcome};
+  if (const TrackMsg* buffered = side.track_buf.find(self.correlator)) {
+    TrackMsg track = *buffered;
+    side.track_buf.erase(self.correlator);
+    forward_track(std::move(track), record, toward);
+  } else {
+    side.records.put(self.correlator, sim_.now(), record);
+  }
+}
+
+void QnpEngine::forward_track(TrackMsg track, const SwapRecord& record,
+                              NodeId toward) {
+  // Carry the TRACK across the swap onto the other side's pair.
+  track.link_correlator = record.other_correlator;
+  track.outcome_state =
+      track.outcome_state ^ record.other_announced ^ record.swap_outcome;
+  send(toward, track);
+  ++counters_.tracks_forwarded;
 }
 
 // ---------------------------------------------------------------------------
@@ -874,22 +839,26 @@ void QnpEngine::expire_rule_intermediate(CircuitState& cs, bool from_upstream,
   device_.discard(qubit);
   poke_adjacent_egps(cs);
 
-  auto& track_buf = from_upstream ? cs.up_track_buf : cs.down_track_buf;
-  if (const TrackMsg* buffered = track_buf.find(correlator)) {
+  Side& side = cs.side(from_upstream);
+  if (const TrackMsg* buffered = side.track_buf.find(correlator)) {
     // A TRACK already waited for this pair: bounce an EXPIRE to its
     // origin end-node immediately.
-    ExpireMsg expire;
-    expire.circuit_id = cs.id;
-    expire.origin_correlator = buffered->origin_correlator;
-    track_buf.erase(correlator);
-    send(from_upstream ? cs.upstream : cs.downstream, expire);
-    ++counters_.expires_sent;
+    const PairCorrelator origin = buffered->origin_correlator;
+    side.track_buf.erase(correlator);
+    send_expire(cs, origin, from_upstream ? cs.upstream : cs.downstream);
     return;
   }
-  auto& expire_records =
-      from_upstream ? cs.up_expire_records : cs.down_expire_records;
-  expire_records.put(correlator, sim_.now(), ExpireMark{});
+  side.expire_records.put(correlator, sim_.now(), ExpireMark{});
   gc_records(cs);
+}
+
+void QnpEngine::send_expire(const CircuitState& cs,
+                            const PairCorrelator& origin, NodeId toward) {
+  ExpireMsg expire;
+  expire.circuit_id = cs.id;
+  expire.origin_correlator = origin;
+  send(toward, expire);
+  ++counters_.expires_sent;
 }
 
 void QnpEngine::handle_expire(NodeId from, const ExpireMsg& msg) {
@@ -911,37 +880,21 @@ void QnpEngine::handle_expire(NodeId from, const ExpireMsg& msg) {
 void QnpEngine::discard_in_transit(CircuitState& cs,
                                    const PairCorrelator& corr,
                                    InTransit& entry, const char* why) {
-  if (entry.is_test) {
-    cs.tests.erase(corr);
-  }
-  if (entry.early_delivered) {
-    // The application owns the qubit: notify it (Sec. 4.1 "Early
-    // delivery").
-    const EndpointId ep = cs.is_head() ? cs.head_endpoint : cs.tail_endpoint;
-    if (const auto* handlers = handlers_for(ep);
-        handlers != nullptr && handlers->on_expire) {
-      handlers->on_expire(cs.id, entry.request, entry.qubit);
-    }
-  } else if (entry.qubit.valid() && !entry.measured) {
-    device_.discard(entry.qubit);
-  }
-  if (entry.request.valid()) cs.demux.unassign(entry.request);
+  release_in_transit(cs, corr, entry);
   QNETP_LOG(trace, "qnp") << node() << " dropped in-transit pair "
                           << corr.to_string() << " (" << why << ")";
   cs.in_transit.erase(corr);
   poke_adjacent_egps(cs);
 }
 
-void QnpEngine::release_expired_in_transit(CircuitState& cs,
-                                           const PairCorrelator& corr,
-                                           InTransit& entry) {
-  // Both the TRACK and any EXPIRE for this pair are overdue by the full
-  // record TTL: the chain broke somewhere and nothing will resolve the
-  // entry. Count it with the other no-longer-deliverable pairs.
+void QnpEngine::release_in_transit(CircuitState& cs,
+                                   const PairCorrelator& corr,
+                                   InTransit& entry) {
   if (entry.is_test) cs.tests.erase(corr);
   if (entry.early_delivered) {
-    const EndpointId ep = cs.is_head() ? cs.head_endpoint : cs.tail_endpoint;
-    if (const auto* handlers = handlers_for(ep);
+    // The application owns the qubit: notify it (Sec. 4.1 "Early
+    // delivery").
+    if (const auto* handlers = handlers_for(cs.local_endpoint());
         handlers != nullptr && handlers->on_expire) {
       handlers->on_expire(cs.id, entry.request, entry.qubit);
     }
@@ -949,9 +902,6 @@ void QnpEngine::release_expired_in_transit(CircuitState& cs,
     device_.discard(entry.qubit);
   }
   if (entry.request.valid()) cs.demux.unassign(entry.request);
-  ++counters_.pairs_discarded_unassigned;
-  QNETP_LOG(trace, "qnp") << node() << " wholesale-expired in-transit pair "
-                          << corr.to_string();
 }
 
 // ---------------------------------------------------------------------------
@@ -973,31 +923,20 @@ void QnpEngine::handle_track(NodeId from, TrackMsg msg) {
   }
 
   // Intermediate node: Algorithm 8.
-  auto& records = from_upstream ? cs->up_records : cs->down_records;
-  auto& expire_records =
-      from_upstream ? cs->up_expire_records : cs->down_expire_records;
-  auto& track_buf = from_upstream ? cs->up_track_buf : cs->down_track_buf;
-
+  Side& side = cs->side(from_upstream);
   const PairCorrelator key = msg.link_correlator;
-  if (const SwapRecord* rec = records.find(key)) {
-    msg.outcome_state =
-        msg.outcome_state ^ rec->other_announced ^ rec->swap_outcome;
-    msg.link_correlator = rec->other_correlator;
-    records.erase(key);
-    send(from_upstream ? cs->downstream : cs->upstream, msg);
-    ++counters_.tracks_forwarded;
+  if (const SwapRecord* found = side.records.find(key)) {
+    const SwapRecord record = *found;
+    side.records.erase(key);
+    forward_track(msg, record, from_upstream ? cs->downstream : cs->upstream);
     return;
   }
-  if (expire_records.erase(key)) {
-    ExpireMsg expire;
-    expire.circuit_id = cs->id;
-    expire.origin_correlator = msg.origin_correlator;
+  if (side.expire_records.erase(key)) {
     // Bounce back toward the TRACK's origin end-node.
-    send(from_upstream ? cs->upstream : cs->downstream, expire);
-    ++counters_.expires_sent;
+    send_expire(*cs, msg.origin_correlator, from);
     return;
   }
-  track_buf.put(key, sim_.now(), msg);
+  side.track_buf.put(key, sim_.now(), msg);
   if (!config_.lazy_tracking) try_swap(*cs);
 }
 
@@ -1135,20 +1074,7 @@ void QnpEngine::deliver_pair(CircuitState& cs,
   if (!at_head && request != nullptr &&
       request->type == RequestType::measure && !entry.measured &&
       entry.qubit.valid()) {
-    entry.is_measure = true;
-    const CircuitId cid = cs.id;
-    const PairCorrelator corr = correlator;
-    device_.measure(entry.qubit, request->measure_basis,
-                    [this, cid, corr](int o) {
-                      auto* c = find_circuit(cid);
-                      if (c == nullptr) return;
-                      auto* e = c->in_transit.find(corr);
-                      if (e == nullptr) return;
-                      e->measured = true;
-                      e->outcome = o;
-                      maybe_deliver(*c, corr);
-                    });
-    entry.qubit = QubitId::invalid();
+    measure_in_transit(cs, correlator, entry, request->measure_basis);
     return;  // redelivered once the outcome lands
   }
 
@@ -1212,8 +1138,7 @@ void QnpEngine::deliver_pair(CircuitState& cs,
   }
   out.delivered_at = sim_.now();
 
-  const EndpointId ep = at_head ? cs.head_endpoint : cs.tail_endpoint;
-  const auto* handlers = handlers_for(ep);
+  const auto* handlers = handlers_for(cs.local_endpoint());
   if (entry.early_delivered) {
     // Tracking info completes an earlier delivery.
     if (handlers != nullptr && handlers->on_tracking) {
@@ -1233,7 +1158,6 @@ void QnpEngine::head_count_delivery(CircuitState& cs, RequestId request_id) {
   const auto it = cs.requests.find(request_id);
   if (it == cs.requests.end()) return;
   RequestState& state = it->second;
-  if (state.delivered == 0) state.first_delivery_at = sim_.now();
   ++state.delivered;
   if (state.request.num_pairs > 0 &&
       state.delivered >= state.request.num_pairs && !state.completed) {
@@ -1367,18 +1291,22 @@ void QnpEngine::measure_app_qubit(QubitId qubit, Basis basis,
 // Record lifetime management: wholesale flow-table expiry.
 // ---------------------------------------------------------------------------
 
+std::uint64_t QnpEngine::Side::live_records() const {
+  return records.size() + track_buf.size() + expire_records.size();
+}
+
+std::uint64_t QnpEngine::Side::expired_wholesale() const {
+  return records.expired_wholesale() + track_buf.expired_wholesale() +
+         expire_records.expired_wholesale();
+}
+
 std::uint64_t QnpEngine::CircuitState::live_records() const {
-  return up_records.size() + down_records.size() + up_track_buf.size() +
-         down_track_buf.size() + up_expire_records.size() +
-         down_expire_records.size() + in_transit.size() + tests.size();
+  return up.live_records() + down.live_records() + in_transit.size() +
+         tests.size();
 }
 
 std::uint64_t QnpEngine::CircuitState::expired_wholesale() const {
-  return up_records.expired_wholesale() + down_records.expired_wholesale() +
-         up_track_buf.expired_wholesale() +
-         down_track_buf.expired_wholesale() +
-         up_expire_records.expired_wholesale() +
-         down_expire_records.expired_wholesale() +
+  return up.expired_wholesale() + down.expired_wholesale() +
          in_transit.expired_wholesale() + tests.expired_wholesale();
 }
 
@@ -1386,32 +1314,31 @@ void QnpEngine::gc_records(CircuitState& cs) {
   const Duration ttl = std::max(cs.cutoff * 8.0, Duration::seconds(1.0));
   if (sim_.now().count_ps() > ttl.count_ps()) {
     const TimePoint floor = sim_.now() - ttl;
-    cs.up_records.expire_all(floor);
-    cs.down_records.expire_all(floor);
-    cs.up_expire_records.expire_all(floor);
-    cs.down_expire_records.expire_all(floor);
     cs.tests.expire_all(floor);
-    // A buffered TRACK whose partner record aged out can never be
-    // forwarded: bounce an EXPIRE toward the origin end-node so it
-    // releases its half of the chain (these used to leak silently).
-    auto bounce = [&](NodeId toward) {
-      return [&, toward](const PairCorrelator&, TrackMsg&& buffered) {
-        ExpireMsg expire;
-        expire.circuit_id = cs.id;
-        expire.origin_correlator = buffered.origin_correlator;
-        send(toward, expire);
-        ++counters_.expires_sent;
-      };
-    };
-    cs.up_track_buf.expire_all(floor, 0, bounce(cs.upstream));
-    cs.down_track_buf.expire_all(floor, 0, bounce(cs.downstream));
+    for (const bool upstream : {true, false}) {
+      Side& side = cs.side(upstream);
+      side.records.expire_all(floor);
+      side.expire_records.expire_all(floor);
+      // A buffered TRACK whose partner record aged out can never be
+      // forwarded: bounce an EXPIRE toward the origin end-node so it
+      // releases its half of the chain (these used to leak silently).
+      const NodeId toward = upstream ? cs.upstream : cs.downstream;
+      side.track_buf.expire_all(
+          floor, 0, [&](const PairCorrelator&, TrackMsg&& buffered) {
+            send_expire(cs, buffered.origin_correlator, toward);
+          });
+    }
     // End-node in-transit entries hold device qubits, so they expire
     // ungated: once both the TRACK and any EXPIRE are a full TTL overdue
-    // the chain broke and nothing else will release them.
+    // the chain broke and nothing else will release them. Count them
+    // with the other no-longer-deliverable pairs.
     if (cs.is_head() || cs.is_tail()) {
       const std::size_t dropped = cs.in_transit.expire_all(
           floor, 0, [&](const PairCorrelator& corr, InTransit&& entry) {
-            release_expired_in_transit(cs, corr, entry);
+            release_in_transit(cs, corr, entry);
+            ++counters_.pairs_discarded_unassigned;
+            QNETP_LOG(trace, "qnp") << node() << " wholesale-expired "
+                                    << "in-transit pair " << corr.to_string();
           });
       if (dropped > 0) poke_adjacent_egps(cs);
     }

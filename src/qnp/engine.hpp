@@ -194,7 +194,6 @@ class QnpEngine {
     PairCorrelator correlator;
     QubitId qubit;
     qstate::BellIndex announced;
-    TimePoint birth;
     des::ScopedTimer cutoff;  ///< inert in baseline mode / at end-nodes
   };
 
@@ -213,12 +212,10 @@ class QnpEngine {
 
   /// End-node bookkeeping for one local link-pair (in_transit of Alg 1-6).
   struct InTransit {
-    RequestId request;          ///< invalid = unassigned (null TRACK)
+    RequestId request{};        ///< invalid = unassigned (null TRACK)
     std::uint64_t sequence = 0; ///< head-end numbering
     QubitId qubit;              ///< invalid once measured or early-given
-    qstate::BellIndex local_announced;
     qdevice::PairPtr pair;      ///< oracle handle
-    TimePoint birth;
     bool early_delivered = false;
     bool is_measure = false;    ///< MEASURE request: outcome withheld
     bool measured = false;
@@ -227,7 +224,7 @@ class QnpEngine {
     qstate::Basis test_basis = qstate::Basis::z;
     // Delivery deferral when the TRACK beats the measurement completion.
     bool track_received = false;
-    netmsg::TrackMsg final_track;
+    netmsg::TrackMsg final_track{};
   };
 
   /// Head-end request state.
@@ -236,8 +233,6 @@ class QnpEngine {
     std::uint64_t delivered = 0;
     std::uint64_t next_sequence = 1;
     bool completed = false;
-    TimePoint accepted_at;
-    TimePoint first_delivery_at;
   };
 
   /// Pending fidelity test round at the head-end.
@@ -248,6 +243,19 @@ class QnpEngine {
     bool have_tail = false;
     bool have_track = false;
     qstate::BellIndex tracked;
+  };
+
+  /// One neighbour's side of an intermediate node: Algorithms 7-9 run the
+  /// same rules toward both. Every per-correlator map is a FlowTable so
+  /// stale records retire wholesale instead of via per-entry sweeps.
+  struct Side {
+    std::deque<QueuedPair> queue;            ///< pairs awaiting a swap
+    FlowTable<SwapRecord> records;           ///< keyed by this side's pair
+    FlowTable<netmsg::TrackMsg> track_buf;   ///< TRACKs awaiting the swap
+    FlowTable<ExpireMark> expire_records;    ///< cutoffs awaiting a TRACK
+
+    std::uint64_t live_records() const;
+    std::uint64_t expired_wholesale() const;
   };
 
   struct CircuitState {
@@ -267,17 +275,15 @@ class QnpEngine {
 
     bool is_head() const { return !upstream.valid(); }
     bool is_tail() const { return !downstream.valid(); }
+    /// The application endpoint at this end-node.
+    EndpointId local_endpoint() const {
+      return is_head() ? head_endpoint : tail_endpoint;
+    }
 
-    // Intermediate-node state. All per-correlator maps are FlowTables so
-    // stale records retire wholesale instead of via per-entry sweeps.
-    std::deque<QueuedPair> up_queue;
-    std::deque<QueuedPair> down_queue;
-    FlowTable<SwapRecord> up_records;
-    FlowTable<SwapRecord> down_records;
-    FlowTable<netmsg::TrackMsg> up_track_buf;
-    FlowTable<netmsg::TrackMsg> down_track_buf;
-    FlowTable<ExpireMark> up_expire_records;
-    FlowTable<ExpireMark> down_expire_records;
+    // Intermediate-node state, one side per neighbour.
+    Side up;
+    Side down;
+    Side& side(bool from_upstream) { return from_upstream ? up : down; }
 
     // End-node state.
     Demultiplexer demux;
@@ -344,9 +350,15 @@ class QnpEngine {
   };
   void on_swap_complete(CircuitId circuit, SwapSide up, SwapSide down,
                         const qdevice::SwapCompletion& completion);
+  void record_swap(Side& side, const SwapSide& self, const SwapSide& other,
+                   qstate::BellIndex outcome, NodeId toward);
+  void forward_track(netmsg::TrackMsg track, const SwapRecord& record,
+                     NodeId toward);
   void expire_rule_intermediate(CircuitState& cs, bool from_upstream,
                                 const PairCorrelator& correlator,
                                 QubitId qubit);
+  void send_expire(const CircuitState& cs, const PairCorrelator& origin,
+                   NodeId toward);
 
   void handle_forward(NodeId from, const netmsg::ForwardMsg& msg);
   void handle_complete(NodeId from, const netmsg::CompleteMsg& msg);
@@ -358,6 +370,12 @@ class QnpEngine {
   void handle_test_result(NodeId from, const netmsg::TestResultMsg& msg);
   void handle_update(NodeId from, const netmsg::UpdateMsg& msg);
 
+  netmsg::TrackMsg link_track(const CircuitState& cs,
+                              const linklayer::LinkPairDelivery& d) const;
+  void measure_in_transit(CircuitState& cs, const PairCorrelator& correlator,
+                          InTransit& entry, qstate::Basis basis);
+  void hand_over_early(CircuitState& cs, InTransit& entry,
+                       qstate::BellIndex announced);
   void end_node_track_rule(CircuitState& cs, const netmsg::TrackMsg& msg,
                            bool at_head);
   void maybe_deliver(CircuitState& cs, const PairCorrelator& correlator);
@@ -373,11 +391,8 @@ class QnpEngine {
 
   void discard_in_transit(CircuitState& cs, const PairCorrelator& corr,
                           InTransit& entry, const char* why);
-  /// Release an in-transit entry that wholesale expiry already removed
-  /// from the table (qubit, demux slot, app notification).
-  void release_expired_in_transit(CircuitState& cs,
-                                  const PairCorrelator& corr,
-                                  InTransit& entry);
+  void release_in_transit(CircuitState& cs, const PairCorrelator& corr,
+                          InTransit& entry);
 
   const EndpointHandlers* handlers_for(EndpointId endpoint) const;
 
