@@ -1,314 +1,12 @@
 #include "netmsg/codec.hpp"
 
-#include "qbase/assert.hpp"
+#include <concepts>
+#include <type_traits>
+#include <utility>
 
 namespace qnetp::netmsg {
 
 namespace {
-
-enum class WireType : std::uint8_t {
-  forward = 1,
-  complete = 2,
-  track = 3,
-  expire = 4,
-  install = 5,
-  install_ack = 6,
-  teardown = 7,
-  keepalive = 8,
-  test_result = 9,
-  lsa = 10,
-  update = 11,
-  frame = 12,
-};
-
-void put_correlator(ByteWriter& w, const PairCorrelator& c) {
-  w.u64(c.link.value());
-  w.varint(c.sequence);
-}
-
-PairCorrelator get_correlator(ByteReader& r) {
-  PairCorrelator c;
-  c.link = LinkId{r.u64()};
-  c.sequence = r.varint();
-  return c;
-}
-
-void put_duration(ByteWriter& w, Duration d) {
-  w.u64(static_cast<std::uint64_t>(d.count_ps()));
-}
-
-Duration get_duration(ByteReader& r) {
-  return Duration::ps(static_cast<std::int64_t>(r.u64()));
-}
-
-void encode_body(ByteWriter& w, const ForwardMsg& m) {
-  w.u8(static_cast<std::uint8_t>(WireType::forward));
-  w.u64(m.circuit_id.value());
-  w.u64(m.request_id.value());
-  w.u64(m.head_end_identifier.value());
-  w.u64(m.tail_end_identifier.value());
-  w.u8(static_cast<std::uint8_t>(m.request_type));
-  w.u8(static_cast<std::uint8_t>(m.measure_basis));
-  w.varint(m.number_of_pairs);
-  w.boolean(m.final_state.has_value());
-  if (m.final_state) w.u8(m.final_state->code());
-  w.f64(m.rate);
-}
-
-ForwardMsg decode_forward(ByteReader& r) {
-  ForwardMsg m;
-  m.circuit_id = CircuitId{r.u64()};
-  m.request_id = RequestId{r.u64()};
-  m.head_end_identifier = EndpointId{r.u64()};
-  m.tail_end_identifier = EndpointId{r.u64()};
-  const auto type = r.u8();
-  if (type > 2) throw CodecError("bad request type");
-  m.request_type = static_cast<RequestType>(type);
-  const auto basis = r.u8();
-  if (basis > 2) throw CodecError("bad basis");
-  m.measure_basis = static_cast<qstate::Basis>(basis);
-  m.number_of_pairs = r.varint();
-  if (r.boolean()) m.final_state = qstate::BellIndex{r.u8()};
-  m.rate = r.f64();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const CompleteMsg& m) {
-  w.u8(static_cast<std::uint8_t>(WireType::complete));
-  w.u64(m.circuit_id.value());
-  w.u64(m.request_id.value());
-  w.u64(m.head_end_identifier.value());
-  w.u64(m.tail_end_identifier.value());
-  w.f64(m.rate);
-}
-
-CompleteMsg decode_complete(ByteReader& r) {
-  CompleteMsg m;
-  m.circuit_id = CircuitId{r.u64()};
-  m.request_id = RequestId{r.u64()};
-  m.head_end_identifier = EndpointId{r.u64()};
-  m.tail_end_identifier = EndpointId{r.u64()};
-  m.rate = r.f64();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const TrackMsg& m) {
-  w.u8(static_cast<std::uint8_t>(WireType::track));
-  w.u64(m.circuit_id.value());
-  w.u64(m.request_id.value());
-  w.u64(m.head_end_identifier.value());
-  w.u64(m.tail_end_identifier.value());
-  put_correlator(w, m.origin_correlator);
-  put_correlator(w, m.link_correlator);
-  w.u8(m.outcome_state.code());
-  w.varint(m.epoch);
-  w.varint(m.pair_sequence);
-  w.boolean(m.test_round);
-  w.u8(static_cast<std::uint8_t>(m.test_basis));
-}
-
-TrackMsg decode_track(ByteReader& r) {
-  TrackMsg m;
-  m.circuit_id = CircuitId{r.u64()};
-  m.request_id = RequestId{r.u64()};
-  m.head_end_identifier = EndpointId{r.u64()};
-  m.tail_end_identifier = EndpointId{r.u64()};
-  m.origin_correlator = get_correlator(r);
-  m.link_correlator = get_correlator(r);
-  m.outcome_state = qstate::BellIndex{r.u8()};
-  m.epoch = r.varint();
-  m.pair_sequence = r.varint();
-  m.test_round = r.boolean();
-  const auto basis = r.u8();
-  if (basis > 2) throw CodecError("bad basis");
-  m.test_basis = static_cast<qstate::Basis>(basis);
-  return m;
-}
-
-void encode_body(ByteWriter& w, const ExpireMsg& m) {
-  w.u8(static_cast<std::uint8_t>(WireType::expire));
-  w.u64(m.circuit_id.value());
-  put_correlator(w, m.origin_correlator);
-}
-
-ExpireMsg decode_expire(ByteReader& r) {
-  ExpireMsg m;
-  m.circuit_id = CircuitId{r.u64()};
-  m.origin_correlator = get_correlator(r);
-  return m;
-}
-
-void encode_body(ByteWriter& w, const InstallMsg& m) {
-  w.u8(static_cast<std::uint8_t>(WireType::install));
-  w.u64(m.circuit_id.value());
-  w.u64(m.head_end_identifier.value());
-  w.u64(m.tail_end_identifier.value());
-  w.f64(m.end_to_end_fidelity);
-  w.varint(m.hops.size());
-  for (const auto& h : m.hops) {
-    w.u64(h.node.value());
-    w.u64(h.upstream.value());
-    w.u64(h.downstream.value());
-    w.u64(h.upstream_label.value());
-    w.u64(h.downstream_label.value());
-    w.f64(h.downstream_min_fidelity);
-    w.f64(h.downstream_max_lpr);
-    w.f64(h.circuit_max_eer);
-    put_duration(w, h.cutoff);
-  }
-}
-
-InstallMsg decode_install(ByteReader& r) {
-  InstallMsg m;
-  m.circuit_id = CircuitId{r.u64()};
-  m.head_end_identifier = EndpointId{r.u64()};
-  m.tail_end_identifier = EndpointId{r.u64()};
-  m.end_to_end_fidelity = r.f64();
-  const auto n = r.varint();
-  if (n > 4096) throw CodecError("implausible hop count");
-  m.hops.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    HopState h;
-    h.node = NodeId{r.u64()};
-    h.upstream = NodeId{r.u64()};
-    h.downstream = NodeId{r.u64()};
-    h.upstream_label = LinkLabel{r.u64()};
-    h.downstream_label = LinkLabel{r.u64()};
-    h.downstream_min_fidelity = r.f64();
-    h.downstream_max_lpr = r.f64();
-    h.circuit_max_eer = r.f64();
-    h.cutoff = get_duration(r);
-    m.hops.push_back(h);
-  }
-  return m;
-}
-
-void encode_body(ByteWriter& w, const InstallAckMsg& m) {
-  w.u8(static_cast<std::uint8_t>(WireType::install_ack));
-  w.u64(m.circuit_id.value());
-  w.boolean(m.accepted);
-  w.str(m.reason);
-}
-
-InstallAckMsg decode_install_ack(ByteReader& r) {
-  InstallAckMsg m;
-  m.circuit_id = CircuitId{r.u64()};
-  m.accepted = r.boolean();
-  m.reason = r.str();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const TeardownMsg& m) {
-  w.u8(static_cast<std::uint8_t>(WireType::teardown));
-  w.u64(m.circuit_id.value());
-  w.str(m.reason);
-}
-
-TeardownMsg decode_teardown(ByteReader& r) {
-  TeardownMsg m;
-  m.circuit_id = CircuitId{r.u64()};
-  m.reason = r.str();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const KeepaliveMsg& m) {
-  w.u8(static_cast<std::uint8_t>(WireType::keepalive));
-  w.u64(m.circuit_id.value());
-}
-
-KeepaliveMsg decode_keepalive(ByteReader& r) {
-  KeepaliveMsg m;
-  m.circuit_id = CircuitId{r.u64()};
-  return m;
-}
-
-void encode_body(ByteWriter& w, const TestResultMsg& m) {
-  w.u8(static_cast<std::uint8_t>(WireType::test_result));
-  w.u64(m.circuit_id.value());
-  put_correlator(w, m.origin_correlator);
-  w.u8(static_cast<std::uint8_t>(m.basis));
-  w.u8(m.outcome);
-}
-
-TestResultMsg decode_test_result(ByteReader& r) {
-  TestResultMsg m;
-  m.circuit_id = CircuitId{r.u64()};
-  m.origin_correlator = get_correlator(r);
-  const auto basis = r.u8();
-  if (basis > 2) throw CodecError("bad basis");
-  m.basis = static_cast<qstate::Basis>(basis);
-  m.outcome = r.u8();
-  if (m.outcome > 1) throw CodecError("bad outcome bit");
-  return m;
-}
-
-void encode_body(ByteWriter& w, const LsaMsg& m) {
-  w.u8(static_cast<std::uint8_t>(WireType::lsa));
-  w.u64(m.origin.value());
-  w.varint(m.seq);
-  put_duration(w, m.max_age);
-  w.varint(m.links.size());
-  for (const auto& l : m.links) {
-    w.u64(l.neighbour.value());
-    w.u64(l.link.value());
-    w.f64(l.cost);
-    w.f64(l.max_lpr);
-    w.f64(l.fidelity);
-    w.varint(l.residual_slots);
-  }
-}
-
-LsaMsg decode_lsa(ByteReader& r) {
-  LsaMsg m;
-  m.origin = NodeId{r.u64()};
-  m.seq = r.varint();
-  m.max_age = get_duration(r);
-  const auto n = r.varint();
-  if (n > 4096) throw CodecError("implausible LSA link count");
-  m.links.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    LsaLink l;
-    l.neighbour = NodeId{r.u64()};
-    l.link = LinkId{r.u64()};
-    l.cost = r.f64();
-    l.max_lpr = r.f64();
-    l.fidelity = r.f64();
-    const auto slots = r.varint();
-    if (slots > LsaLink::kUnlimitedSlots) throw CodecError("bad slot count");
-    l.residual_slots = static_cast<std::uint32_t>(slots);
-    m.links.push_back(l);
-  }
-  return m;
-}
-
-void encode_body(ByteWriter& w, const UpdateMsg& m) {
-  w.u8(static_cast<std::uint8_t>(WireType::update));
-  w.u64(m.circuit_id.value());
-  w.varint(m.version);
-  w.varint(m.hops.size());
-  for (const auto& h : m.hops) {
-    w.u64(h.node.value());
-    w.f64(h.downstream_max_lpr);
-    w.f64(h.circuit_max_eer);
-  }
-}
-
-UpdateMsg decode_update(ByteReader& r) {
-  UpdateMsg m;
-  m.circuit_id = CircuitId{r.u64()};
-  m.version = r.varint();
-  const auto n = r.varint();
-  if (n > 4096) throw CodecError("implausible hop count");
-  m.hops.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    UpdateHop h;
-    h.node = NodeId{r.u64()};
-    h.downstream_max_lpr = r.f64();
-    h.circuit_max_eer = r.f64();
-    m.hops.push_back(h);
-  }
-  return m;
-}
 
 // FNV-1a over the frame header and payload. Transport frames carry a
 // checksum because the fault model flips wire bytes: without it a
@@ -328,56 +26,207 @@ std::uint64_t frame_checksum(std::uint64_t seq, std::uint64_t ack,
   return h;
 }
 
-void encode_body(ByteWriter& w, const FrameMsg& m) {
-  w.u8(static_cast<std::uint8_t>(WireType::frame));
-  w.varint(m.seq);
-  w.varint(m.ack);
-  w.blob(m.payload);
-  w.u64(frame_checksum(m.seq, m.ack, m.payload));
+/// `M` is `T`, const or not: one field list serves the writer (const
+/// messages) and the reader (mutable ones).
+template <class M, class T>
+concept Of = std::same_as<std::remove_const_t<M>, T>;
+
+// ---------------------------------------------------------------------------
+// Field lists, in wire order. `io` is a Writer or a Reader; `io(...)`
+// writes or reads each field in the encoding its C++ type picks, and
+// `io.check` is a verdict only the reader enforces.
+// ---------------------------------------------------------------------------
+
+void fields(auto& io, Of<PairCorrelator> auto& c) { io(c.link, c.sequence); }
+
+void fields(auto& io, Of<ForwardMsg> auto& m) {
+  io(m.circuit_id, m.request_id, m.head_end_identifier, m.tail_end_identifier,
+     m.request_type, m.measure_basis, m.number_of_pairs, m.final_state,
+     m.rate);
 }
 
-FrameMsg decode_frame(ByteReader& r) {
-  FrameMsg m;
-  m.seq = r.varint();
-  m.ack = r.varint();
-  m.payload = r.blob();
-  if (r.u64() != frame_checksum(m.seq, m.ack, m.payload)) {
-    throw CodecError("frame checksum mismatch");
-  }
-  if (m.seq == 0 && !m.payload.empty()) {
-    throw CodecError("pure ACK frame carries a payload");
-  }
-  return m;
+void fields(auto& io, Of<CompleteMsg> auto& m) {
+  io(m.circuit_id, m.request_id, m.head_end_identifier, m.tail_end_identifier,
+     m.rate);
 }
+
+void fields(auto& io, Of<TrackMsg> auto& m) {
+  io(m.circuit_id, m.request_id, m.head_end_identifier, m.tail_end_identifier,
+     m.origin_correlator, m.link_correlator, m.outcome_state, m.epoch,
+     m.pair_sequence, m.test_round, m.test_basis);
+}
+
+void fields(auto& io, Of<ExpireMsg> auto& m) {
+  io(m.circuit_id, m.origin_correlator);
+}
+
+void fields(auto& io, Of<HopState> auto& h) {
+  io(h.node, h.upstream, h.downstream, h.upstream_label, h.downstream_label,
+     h.downstream_min_fidelity, h.downstream_max_lpr, h.circuit_max_eer,
+     h.cutoff);
+}
+
+void fields(auto& io, Of<InstallMsg> auto& m) {
+  io(m.circuit_id, m.head_end_identifier, m.tail_end_identifier,
+     m.end_to_end_fidelity, m.hops);
+}
+
+void fields(auto& io, Of<InstallAckMsg> auto& m) {
+  io(m.circuit_id, m.accepted, m.reason);
+}
+
+void fields(auto& io, Of<TeardownMsg> auto& m) { io(m.circuit_id, m.reason); }
+
+void fields(auto& io, Of<KeepaliveMsg> auto& m) { io(m.circuit_id); }
+
+void fields(auto& io, Of<TestResultMsg> auto& m) {
+  io(m.circuit_id, m.origin_correlator, m.basis, m.outcome);
+  io.check(m.outcome <= 1, "bad outcome bit");
+}
+
+void fields(auto& io, Of<LsaLink> auto& l) {
+  io(l.neighbour, l.link, l.cost, l.max_lpr, l.fidelity, l.residual_slots);
+}
+
+void fields(auto& io, Of<LsaMsg> auto& m) {
+  io(m.origin, m.seq, m.max_age, m.links);
+}
+
+void fields(auto& io, Of<UpdateHop> auto& h) {
+  io(h.node, h.downstream_max_lpr, h.circuit_max_eer);
+}
+
+void fields(auto& io, Of<UpdateMsg> auto& m) {
+  io(m.circuit_id, m.version, m.hops);
+}
+
+void fields(auto& io, Of<FrameMsg> auto& m) {
+  io(m.seq, m.ack, m.payload);
+  io.checksum(frame_checksum(m.seq, m.ack, m.payload));
+  io.check(m.seq != 0 || m.payload.empty(),
+           "pure ACK frame carries a payload");
+}
+
+// ---------------------------------------------------------------------------
+// Encodings by C++ type: strong ids and durations are fixed 64-bit,
+// unsigned counters are varints, doubles are IEEE bits, enums and Bell
+// indices one byte, lists a varint count then the elements.
+// ---------------------------------------------------------------------------
+
+struct Writer {
+  ByteWriter w;
+
+  template <class... T>
+  void operator()(const T&... v) {
+    (put(v), ...);
+  }
+  void check(bool, const char*) {}
+  void checksum(std::uint64_t sum) { w.u64(sum); }
+
+  template <class Tag>
+  void put(StrongId<Tag> id) { w.u64(id.value()); }
+  void put(Duration d) { w.u64(static_cast<std::uint64_t>(d.count_ps())); }
+  void put(std::uint64_t n) { w.varint(n); }
+  void put(std::uint32_t n) { w.varint(n); }
+  void put(std::uint8_t n) { w.u8(n); }
+  void put(bool b) { w.boolean(b); }
+  void put(double x) { w.f64(x); }
+  void put(qstate::BellIndex b) { w.u8(b.code()); }
+  void put(RequestType t) { w.u8(static_cast<std::uint8_t>(t)); }
+  void put(qstate::Basis b) { w.u8(static_cast<std::uint8_t>(b)); }
+  void put(const std::string& s) { w.str(s); }
+  void put(const Bytes& b) { w.blob(b); }
+  template <class T>
+  void put(const std::optional<T>& o) {
+    w.boolean(o.has_value());
+    if (o) put(*o);
+  }
+  template <class T>
+  void put(const std::vector<T>& list) {
+    w.varint(list.size());
+    for (const T& e : list) put(e);
+  }
+  template <class T>
+  void put(const T& nested) { fields(*this, nested); }
+};
+
+struct Reader {
+  ByteReader r;
+
+  template <class... T>
+  void operator()(T&... v) {
+    (get(v), ...);
+  }
+  void check(bool ok, const char* error) {
+    if (!ok) throw CodecError(error);
+  }
+  void checksum(std::uint64_t sum) {
+    check(r.u64() == sum, "frame checksum mismatch");
+  }
+
+  template <class Tag>
+  void get(StrongId<Tag>& id) { id = StrongId<Tag>{r.u64()}; }
+  void get(Duration& d) {
+    d = Duration::ps(static_cast<std::int64_t>(r.u64()));
+  }
+  void get(std::uint64_t& n) { n = r.varint(); }
+  void get(std::uint32_t& n) {  // LsaLink::residual_slots, the one u32
+    const std::uint64_t v = r.varint();
+    check(v <= LsaLink::kUnlimitedSlots, "bad slot count");
+    n = static_cast<std::uint32_t>(v);
+  }
+  void get(std::uint8_t& n) { n = r.u8(); }
+  void get(bool& b) { b = r.boolean(); }
+  void get(double& x) { x = r.f64(); }
+  void get(qstate::BellIndex& b) { b = qstate::BellIndex{r.u8()}; }
+  void get(RequestType& t) { t = enum_byte<RequestType>("bad request type"); }
+  void get(qstate::Basis& b) { b = enum_byte<qstate::Basis>("bad basis"); }
+  void get(std::string& s) { s = r.str(); }
+  void get(Bytes& b) { b = r.blob(); }
+  template <class T>
+  void get(std::optional<T>& o) {
+    if (r.boolean()) get(o.emplace());
+  }
+  template <class T>
+  void get(std::vector<T>& list) {
+    const std::uint64_t n = r.varint();
+    check(n <= 4096, std::is_same_v<T, LsaLink> ? "implausible LSA link count"
+                                                : "implausible hop count");
+    list.reserve(n);
+    for (std::uint64_t i = 0; i < n; ++i) get(list.emplace_back());
+  }
+  template <class T>
+  void get(T& nested) { fields(*this, nested); }
+
+  template <class E>
+  E enum_byte(const char* error) {
+    const std::uint8_t raw = r.u8();
+    check(raw <= 2, error);  // both wire enums have three values
+    return static_cast<E>(raw);
+  }
+};
 
 }  // namespace
 
+// The type byte is the variant index + 1 (message.hpp keeps the variant
+// in wire order).
 Bytes encode(const Message& m) {
-  ByteWriter w;
-  std::visit([&w](const auto& msg) { encode_body(w, msg); }, m);
-  return std::move(w).take();
+  Writer out;
+  out.w.u8(static_cast<std::uint8_t>(m.index() + 1));
+  std::visit([&out](const auto& msg) { fields(out, msg); }, m);
+  return std::move(out.w).take();
 }
 
 Message decode(const Bytes& bytes) {
-  ByteReader r(bytes);
-  const auto type = static_cast<WireType>(r.u8());
+  Reader in{ByteReader(bytes)};
+  const std::size_t type = in.r.u8();
+  in.check(type >= 1 && type <= std::variant_size_v<Message>,
+           "unknown message type");
   Message m;
-  switch (type) {
-    case WireType::forward: m = decode_forward(r); break;
-    case WireType::complete: m = decode_complete(r); break;
-    case WireType::track: m = decode_track(r); break;
-    case WireType::expire: m = decode_expire(r); break;
-    case WireType::install: m = decode_install(r); break;
-    case WireType::install_ack: m = decode_install_ack(r); break;
-    case WireType::teardown: m = decode_teardown(r); break;
-    case WireType::keepalive: m = decode_keepalive(r); break;
-    case WireType::test_result: m = decode_test_result(r); break;
-    case WireType::lsa: m = decode_lsa(r); break;
-    case WireType::update: m = decode_update(r); break;
-    case WireType::frame: m = decode_frame(r); break;
-    default: throw CodecError("unknown message type");
-  }
-  if (!r.at_end()) throw CodecError("trailing bytes after message");
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    ((type == I + 1 ? fields(in, m.emplace<I>()) : void()), ...);
+  }(std::make_index_sequence<std::variant_size_v<Message>>());
+  in.check(in.r.at_end(), "trailing bytes after message");
   return m;
 }
 

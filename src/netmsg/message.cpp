@@ -1,5 +1,7 @@
 #include "netmsg/message.hpp"
 
+#include <iterator>
+
 namespace qnetp::netmsg {
 
 std::string to_string(RequestType t) {
@@ -12,25 +14,13 @@ std::string to_string(RequestType t) {
 }
 
 std::string message_name(const Message& m) {
-  struct Visitor {
-    std::string operator()(const ForwardMsg&) const { return "FORWARD"; }
-    std::string operator()(const CompleteMsg&) const { return "COMPLETE"; }
-    std::string operator()(const TrackMsg&) const { return "TRACK"; }
-    std::string operator()(const ExpireMsg&) const { return "EXPIRE"; }
-    std::string operator()(const InstallMsg&) const { return "INSTALL"; }
-    std::string operator()(const InstallAckMsg&) const {
-      return "INSTALL_ACK";
-    }
-    std::string operator()(const TeardownMsg&) const { return "TEARDOWN"; }
-    std::string operator()(const KeepaliveMsg&) const { return "KEEPALIVE"; }
-    std::string operator()(const TestResultMsg&) const {
-      return "TEST_RESULT";
-    }
-    std::string operator()(const LsaMsg&) const { return "LSA"; }
-    std::string operator()(const UpdateMsg&) const { return "UPDATE"; }
-    std::string operator()(const FrameMsg&) const { return "FRAME"; }
-  };
-  return std::visit(Visitor{}, m);
+  // Indexed like the variant, i.e. in wire order.
+  static constexpr const char* kNames[] = {
+      "FORWARD", "COMPLETE",    "TRACK",    "EXPIRE",
+      "INSTALL", "INSTALL_ACK", "TEARDOWN", "KEEPALIVE",
+      "TEST_RESULT", "LSA",     "UPDATE",   "FRAME"};
+  static_assert(std::size(kNames) == std::variant_size_v<Message>);
+  return kNames[m.index()];
 }
 
 }  // namespace qnetp::netmsg

@@ -251,6 +251,8 @@ struct FrameMsg {
   bool operator==(const FrameMsg&) const = default;
 };
 
+/// The alternatives are in wire order: the codec's type byte is index()
+/// + 1, so new messages go at the end.
 using Message = std::variant<ForwardMsg, CompleteMsg, TrackMsg, ExpireMsg,
                              InstallMsg, InstallAckMsg, TeardownMsg,
                              KeepaliveMsg, TestResultMsg, LsaMsg, UpdateMsg,
