@@ -90,42 +90,6 @@ TEST(RequestClasses, EarlyDeliveryHandsQubitBeforeTracking) {
   config.seed = 17;
   auto net = make_chain(3, config, qhw::simulation_preset(),
                         qhw::FiberParams::lab(2.0));
-
-  std::size_t early = 0, tracked = 0;
-  std::vector<QubitId> held;
-  qnp::EndpointHandlers handlers;
-  handlers.on_pair = [&](const qnp::PairDelivery& d) {
-    EXPECT_TRUE(d.tracking_pending);
-    EXPECT_TRUE(d.qubit.valid());
-    ++early;
-    held.push_back(d.qubit);
-  };
-  handlers.on_tracking = [&](const qnp::PairDelivery& d) {
-    ++tracked;
-    net->engine(NodeId{1}).release_app_qubit(d.qubit);
-  };
-  net->engine(NodeId{1}).register_endpoint(EndpointId{10}, handlers);
-  Probe tail_probe(*net, NodeId{3}, EndpointId{20});
-
-  const auto plan = net->establish_circuit(
-      NodeId{1}, NodeId{3}, EndpointId{10}, EndpointId{20}, 0.85);
-  ASSERT_TRUE(plan.has_value());
-  qnp::AppRequest r = keep_request(1, 5);
-  r.type = RequestType::early;
-  ASSERT_TRUE(
-      net->engine(NodeId{1}).submit_request(plan->install.circuit_id, r));
-  net->sim().run_until(net->sim().now() + 30_s);
-  EXPECT_EQ(early, 5u);
-  EXPECT_EQ(tracked, 5u);
-  EXPECT_EQ(net->engine(NodeId{1}).counters().early_deliveries, 5u);
-  net->sim().stop();
-}
-
-TEST(RequestClasses, EarlyDeliveryAtTailTakesHeadIdentityFromTracking) {
-  NetworkConfig config;
-  config.seed = 17;
-  auto net = make_chain(3, config, qhw::simulation_preset(),
-                        qhw::FiberParams::lab(2.0));
   Probe head(*net, NodeId{1}, EndpointId{10});
   Probe tail(*net, NodeId{3}, EndpointId{20});
   const auto plan = net->establish_circuit(
@@ -137,12 +101,19 @@ TEST(RequestClasses, EarlyDeliveryAtTailTakesHeadIdentityFromTracking) {
       net->engine(NodeId{1}).submit_request(plan->install.circuit_id, r));
   net->sim().run_until(net->sim().now() + 30_s);
 
-  // The tail hands each qubit over before the head's numbering reaches it.
+  // Both ends hand each qubit over before its TRACK; the tail does so
+  // before the head's numbering reaches it.
+  EXPECT_EQ(head.delivered_count(), 5u);
+  EXPECT_EQ(net->engine(NodeId{1}).counters().early_deliveries, 5u);
   ASSERT_GE(tail.delivered_count(), 5u);
+  for (const Probe* p : {&head, &tail}) {
+    for (const auto& rec : p->deliveries()) {
+      EXPECT_TRUE(rec.delivery.tracking_pending);
+      EXPECT_TRUE(rec.delivery.qubit.valid());
+    }
+  }
   for (const auto& rec : tail.deliveries()) {
-    EXPECT_TRUE(rec.delivery.tracking_pending);
     EXPECT_EQ(rec.delivery.sequence, 0u);
-    EXPECT_TRUE(rec.delivery.qubit.valid());
   }
   // Tracking then names every pair identically at both ends.
   using Key = std::pair<RequestId, std::uint64_t>;
@@ -211,8 +182,7 @@ TEST(RequestClasses, EarlyPairsBrokenByCutoffExpireAtBothEnds) {
   r.type = RequestType::early;
   ASSERT_TRUE(
       net->engine(NodeId{1}).submit_request(plan->install.circuit_id, r));
-  net->sim().run_until(net->sim().now() + 60_s);
-  net->sim().run_until(net->sim().now() + 5_s);
+  net->sim().run_until(net->sim().now() + 65_s);
 
   EXPECT_GT(net->engine(NodeId{2}).counters().pairs_discarded_cutoff, 0u);
   for (const End& end : ends) {
