@@ -30,19 +30,14 @@ counting, exact min/max reduction, erase-only sweep) may carry
 on the same line or within the three lines above; the reason is
 mandatory. File-level exemptions live in ALLOWLIST below.
 
-Engines: a token-level engine is always available and is the engine of
-record (it is what the fixture self-test pins). When the libclang python
-bindings are importable (`--engine=clang` or `--engine=auto`), an
-AST-aware pass re-checks `unordered-iter` candidates against resolved
-types and can retire token-level false positives; any parse or import
-failure silently falls back to the token verdicts, so the linter runs
-everywhere.
+The rules match tokens, not an AST: comments and string literals are
+blanked first, and unordered-container names are collected across each
+file's include closure. The linter needs nothing beyond python3.
 
 Usage:
   scripts/determinism_lint.py                 # lint src/ (default)
   scripts/determinism_lint.py path...         # lint specific files/dirs
   scripts/determinism_lint.py --self-test     # run the tests/lint fixtures
-  scripts/determinism_lint.py --engine=tokens|clang|auto
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 """
@@ -346,7 +341,7 @@ def include_closure(src: SourceFile,
 
 
 # ---------------------------------------------------------------------------
-# Rule implementations (token engine).
+# Rule implementations.
 # ---------------------------------------------------------------------------
 
 WALL_CLOCK_PATTERNS = [
@@ -532,64 +527,6 @@ def check_unordered_accumulate(src: SourceFile,
 
 
 # ---------------------------------------------------------------------------
-# Optional AST refinement (libclang): re-check unordered-iter candidates
-# against resolved types. Never widens the finding set; only retires
-# token-level hits whose range expression provably has an ordered type.
-# ---------------------------------------------------------------------------
-
-def clang_refine(findings: list[Finding], root: str,
-                 verbose: bool) -> list[Finding]:
-    try:
-        from clang import cindex  # type: ignore
-
-        index = cindex.Index.create()
-        args = ["-std=c++20", f"-I{root}/src", f"-I{root}",
-                "-fsyntax-only", "-Wno-everything"]
-        keep: list[Finding] = []
-        cache: dict[str, set[int]] = {}
-        for f in findings:
-            if f.rule != "unordered-iter":
-                keep.append(f)
-                continue
-            if f.path not in cache:
-                tu = index.parse(os.path.join(root, f.path), args=args)
-                if any(d.severity >= cindex.Diagnostic.Error
-                       for d in tu.diagnostics):
-                    cache[f.path] = set()  # unparseable: keep token verdicts
-                else:
-                    lines: set[int] = set()
-
-                    def walk(cur):
-                        if cur.kind == \
-                                cindex.CursorKind.CXX_FOR_RANGE_STMT:
-                            children = list(cur.get_children())
-                            if children:
-                                t = children[0].type.spelling
-                                if "unordered_" in t:
-                                    lines.add(cur.location.line)
-                        for ch in cur.get_children():
-                            if ch.location.file and \
-                                    ch.location.file.name.endswith(f.path):
-                                walk(ch)
-
-                    walk(tu.cursor)
-                    cache[f.path] = lines
-            confirmed = cache[f.path]
-            # Keep the finding unless the AST positively resolved the file
-            # and this loop's range type is NOT unordered.
-            if not confirmed or f.line in confirmed:
-                keep.append(f)
-            elif verbose:
-                print(f"note: clang retired {f.render()}", file=sys.stderr)
-        return keep
-    except Exception as exc:  # any failure: tokens are the verdict
-        if verbose:
-            print(f"note: clang engine unavailable ({exc}); "
-                  "keeping token verdicts", file=sys.stderr)
-        return findings
-
-
-# ---------------------------------------------------------------------------
 # Driver.
 # ---------------------------------------------------------------------------
 
@@ -613,8 +550,7 @@ def collect_files(root: str, paths: list[str]) -> list[str]:
     return sorted(set(out))
 
 
-def lint_files(root: str, abs_files: list[str], engine: str,
-               verbose: bool) -> list[Finding]:
+def lint_files(root: str, abs_files: list[str]) -> list[Finding]:
     # Load everything under src/ too, so include closures resolve even
     # when linting a single file.
     universe = collect_files(root, ["src"]) if os.path.isdir(
@@ -638,8 +574,6 @@ def lint_files(root: str, abs_files: list[str], engine: str,
         findings += check_pointer_key(src)
         findings += check_unordered_accumulate(src, names)
 
-    if engine in ("clang", "auto") and findings:
-        findings = clang_refine(findings, root, verbose)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
 
@@ -649,7 +583,7 @@ def lint_files(root: str, abs_files: list[str], engine: str,
 # `lint-expect:` comments announce; the clean fixture must pass.
 # ---------------------------------------------------------------------------
 
-def self_test(root: str, engine: str, verbose: bool) -> int:
+def self_test(root: str) -> int:
     fixture_dir = os.path.join(root, "tests", "lint")
     if not os.path.isdir(fixture_dir):
         print(f"error: fixture dir missing: {fixture_dir}", file=sys.stderr)
@@ -666,7 +600,7 @@ def self_test(root: str, engine: str, verbose: bool) -> int:
         with open(fx, encoding="utf-8") as f:
             raw = f.read()
         expected = EXPECT_RE.findall(raw)
-        findings = lint_files(root, [fx], engine, verbose)
+        findings = lint_files(root, [fx])
         got_rules = {f.rule for f in findings}
         rel = os.path.relpath(fx, root)
         ok = True
@@ -703,8 +637,6 @@ def main() -> int:
     ap.add_argument("paths", nargs="*", default=None,
                     help="files/dirs to lint (default: src/)")
     ap.add_argument("--root", default=REPO_ROOT)
-    ap.add_argument("--engine", choices=("auto", "clang", "tokens"),
-                    default="auto")
     ap.add_argument("--self-test", action="store_true",
                     help="check that every tests/lint fixture trips its rule")
     ap.add_argument("-v", "--verbose", action="store_true")
@@ -712,11 +644,11 @@ def main() -> int:
 
     root = os.path.abspath(args.root)
     if args.self_test:
-        return self_test(root, args.engine, args.verbose)
+        return self_test(root)
 
     paths = args.paths or ["src"]
     files = collect_files(root, paths)
-    findings = lint_files(root, files, args.engine, args.verbose)
+    findings = lint_files(root, files)
     for f in findings:
         print(f.render())
     if findings:
