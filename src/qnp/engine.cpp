@@ -810,9 +810,9 @@ void QnpEngine::record_swap(Side& side, const SwapSide& self,
   // swap record for the one still to come.
   const SwapRecord record{other.correlator, other.announced, outcome};
   if (const TrackMsg* buffered = side.track_buf.find(self.correlator)) {
-    TrackMsg track = *buffered;
+    const TrackMsg track = *buffered;
     side.track_buf.erase(self.correlator);
-    forward_track(std::move(track), record, toward);
+    forward_track(track, record, toward);
   } else {
     side.records.put(self.correlator, sim_.now(), record);
   }
@@ -890,6 +890,8 @@ void QnpEngine::discard_in_transit(CircuitState& cs,
 void QnpEngine::release_in_transit(CircuitState& cs,
                                    const PairCorrelator& corr,
                                    InTransit& entry) {
+  // Give up on an end-node pair: end its test round, return its qubit and
+  // free its demultiplexer slot. The caller removes the table entry.
   if (entry.is_test) cs.tests.erase(corr);
   if (entry.early_delivered) {
     // The application owns the qubit: notify it (Sec. 4.1 "Early
@@ -1337,8 +1339,9 @@ void QnpEngine::gc_records(CircuitState& cs) {
           floor, 0, [&](const PairCorrelator& corr, InTransit&& entry) {
             release_in_transit(cs, corr, entry);
             ++counters_.pairs_discarded_unassigned;
-            QNETP_LOG(trace, "qnp") << node() << " wholesale-expired "
-                                    << "in-transit pair " << corr.to_string();
+            QNETP_LOG(trace, "qnp")
+                << node() << " wholesale-expired in-transit pair "
+                << corr.to_string();
           });
       if (dropped > 0) poke_adjacent_egps(cs);
     }
