@@ -108,9 +108,7 @@ void fields(auto& io, Of<FrameMsg> auto& m) {
 }
 
 // ---------------------------------------------------------------------------
-// Encodings by C++ type: strong ids and durations are fixed 64-bit,
-// unsigned counters are varints, doubles are IEEE bits, enums and Bell
-// indices one byte, lists a varint count then the elements.
+// One encoding per C++ field type (listed in codec.hpp), in each direction.
 // ---------------------------------------------------------------------------
 
 struct Writer {
