@@ -33,8 +33,9 @@ concept Of = std::same_as<std::remove_const_t<M>, T>;
 
 // ---------------------------------------------------------------------------
 // Field lists, in wire order. `io` is a Writer or a Reader; `io(...)`
-// writes or reads each field in the encoding its C++ type picks, and
-// `io.check` is a verdict only the reader enforces.
+// writes or reads each field in the encoding its C++ type picks,
+// `io.checksum` writes or verifies a trailing checksum, and `io.check` is
+// a verdict only the reader enforces.
 // ---------------------------------------------------------------------------
 
 void fields(auto& io, Of<PairCorrelator> auto& c) { io(c.link, c.sequence); }
