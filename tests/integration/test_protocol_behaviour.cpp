@@ -45,10 +45,12 @@ TEST(CutoffBehaviour, ShortMemoryCausesDiscardsButDeliveryContinues) {
   // Cutoff must now be tight (ms scale, not the 60 s memory's ~1 s).
   EXPECT_LT(plan->cutoff, 100_ms);
 
+  // Forty pairs, so that the request spans enough link pairs for a cutoff
+  // discard to be near certain at any seed, not only at this one.
   ASSERT_TRUE(net->engine(NodeId{1}).submit_request(plan->install.circuit_id,
-                                                    keep_request(1, 10)));
+                                                    keep_request(1, 40)));
   net->sim().run_until(net->sim().now() + 60_s);
-  EXPECT_EQ(probe.pair_count(), 10u);
+  EXPECT_EQ(probe.pair_count(), 40u);
   // With a tight cutoff some pairs must have been discarded along the way.
   const auto& mid = net->engine(NodeId{2}).counters();
   EXPECT_GT(mid.pairs_discarded_cutoff, 0u);
@@ -178,7 +180,8 @@ TEST(RequestClasses, EarlyPairsBrokenByCutoffExpireAtBothEnds) {
       NodeId{1}, NodeId{3}, EndpointId{10}, EndpointId{20}, 0.8);
   ASSERT_TRUE(plan.has_value());
   ASSERT_LT(plan->cutoff, 100_ms);
-  qnp::AppRequest r = keep_request(1, 10);
+  // Forty pairs, as in the keep-request cutoff test above.
+  qnp::AppRequest r = keep_request(1, 40);
   r.type = RequestType::early;
   ASSERT_TRUE(
       net->engine(NodeId{1}).submit_request(plan->install.circuit_id, r));
@@ -186,7 +189,7 @@ TEST(RequestClasses, EarlyPairsBrokenByCutoffExpireAtBothEnds) {
 
   EXPECT_GT(net->engine(NodeId{2}).counters().pairs_discarded_cutoff, 0u);
   for (const End& end : ends) {
-    EXPECT_EQ(end.tracked, 10u);
+    EXPECT_EQ(end.tracked, 40u);
     EXPECT_GT(end.expired, 0u);
     // Every qubit handed over came back through exactly one of the two.
     EXPECT_EQ(end.handed_over, end.tracked + end.expired);
