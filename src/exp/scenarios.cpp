@@ -684,7 +684,7 @@ TrialResult multiflow_trial(const MultiflowConfig& cfg, std::uint64_t seed) {
   result.set("ok", 0.0);
 
   netsim::NetworkConfig config;
-  config.seed = seed;
+  config.seed = derive_stream_seed(seed, 0);
   config.admission.max_circuits_per_link = cfg.max_circuits_per_link;
   auto net =
       family_topology_spec(cfg.family, cfg.size, seed).build(config);

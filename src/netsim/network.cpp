@@ -27,19 +27,34 @@ linklayer::EgpLink* Node::egp_to(NodeId neighbour) const {
 
 namespace {
 
-std::size_t effective_shards(const NetworkConfig& config) {
-  if (!config.sharding.enabled()) return 1;
-  const std::size_t shards = std::max<std::size_t>(1, config.sharding.shards);
-  QNETP_ASSERT_MSG(shards <= config.sharding.regions,
+std::size_t effective_shards(const ShardingConfig& sharding) {
+  if (sharding.regions <= 1) return 1;
+  const std::size_t shards = std::max<std::size_t>(1, sharding.shards);
+  QNETP_ASSERT_MSG(shards <= sharding.regions,
                    "more execution shards than regions");
   return shards;
+}
+
+/// Run `sim` on a fixed 1 ms polling quantum for at most `span`, stopping
+/// early when every queue and mailbox drains or, if given, once `*done`
+/// is set. Observing on the quantum makes the instant a condition is seen
+/// (and so every later schedule) a function of the quantum alone, never
+/// of window boundaries, which differ across shard counts.
+void poll(des::ShardedSimulator& sim, Duration span,
+          const bool* done = nullptr) {
+  const Duration quantum = Duration::ms(1);
+  const TimePoint horizon = sim.now() + span;
+  while ((done == nullptr || !*done) && sim.now() < horizon) {
+    const TimePoint step_to = std::min(sim.now() + quantum, horizon);
+    if (sim.run_until(step_to) == 0 && sim.events_pending() == 0) break;
+  }
 }
 
 }  // namespace
 
 Network::Network(NetworkConfig config)
     : config_(std::move(config)),
-      sharded_(effective_shards(config_)),
+      sharded_(effective_shards(config_.sharding)),
       rng_(config_.seed),
       classical_(sharded_.shard(0)) {
   registries_.reserve(sharded_.shard_count());
@@ -150,18 +165,14 @@ linklayer::EgpLink& Network::connect(NodeId a, NodeId b,
   const qhw::HardwareParams& hw = hardware_.at(a);
   qhw::PhotonicLinkModel model(hw, fiber);
 
-  // Sharded fabrics give every link its own forked RNG stream (links on
-  // different shards generate concurrently); classic fabrics keep the
-  // shared network stream so existing digests are untouched. Cross-region
-  // links host only classical traffic — circuits never cross regions, so
-  // their quantum side stays idle and the shard choice below is moot.
-  Rng* link_rng = &rng_;
-  if (config_.sharding.enabled()) {
-    link_rngs_.push_back(std::make_unique<Rng>(rng_.fork()));
-    link_rng = link_rngs_.back().get();
-  }
+  // Every link gets its own forked RNG stream: links on different shards
+  // generate concurrently. Cross-region links host only classical
+  // traffic — circuits never cross regions, so their quantum side stays
+  // idle and the shard choice below is moot.
+  link_rngs_.push_back(std::make_unique<Rng>(rng_.fork()));
   auto egp = std::make_unique<linklayer::EgpLink>(
-      shard_sim(a), *link_rng, link_id, na.device(), nb.device(), model);
+      shard_sim(a), *link_rngs_.back(), link_id, na.device(), nb.device(),
+      model);
   linklayer::EgpLink& ref = *egp;
   links_.push_back(std::move(egp));
 
@@ -508,27 +519,19 @@ std::optional<ctrl::CircuitPlan> Network::establish_circuit(
                                         options, reason);
   if (!plan.has_value()) return std::nullopt;
 
-  if (config_.sharding.enabled()) {
-    // Quantum circuits are region-local: an EgpLink is one sequential
-    // object spanning both endpoint devices, and entangled-pair state
-    // spans both nodes — neither survives a shard boundary. Bridges are
-    // classical-only. This is a property of the *region* partition, so
-    // the outcome is identical at every worker count.
-    bool cross = false;
-    for (const auto& hop : plan->install.hops) {
-      if (region_of(hop.node) != region_of(head)) {
-        cross = true;
-        break;
-      }
+  // Quantum circuits are region-local: an EgpLink is one sequential
+  // object spanning both endpoint devices, and entangled-pair state spans
+  // both nodes — neither survives a shard boundary. Bridges are
+  // classical-only. This is a property of the *region* partition, so the
+  // outcome is identical at every worker count.
+  for (const auto& hop : plan->install.hops) {
+    if (region_of(hop.node) == region_of(head)) continue;
+    if (reason != nullptr) {
+      *reason = "path crosses a region boundary "
+                "(quantum circuits are region-local)";
     }
-    if (cross) {
-      if (reason != nullptr) {
-        *reason = "path crosses a region boundary "
-                  "(quantum circuits are region-local)";
-      }
-      controller_->release_circuit(plan->install.circuit_id);
-      return std::nullopt;
-    }
+    controller_->release_circuit(plan->install.circuit_id);
+    return std::nullopt;
   }
 
   bool up = false;
@@ -545,27 +548,7 @@ std::optional<ctrl::CircuitPlan> Network::establish_circuit(
         ack_reason = r;
       });
   engine(head).begin_install(plan->install);
-  if (!config_.sharding.enabled()) {
-    // Classic path, byte-identical to the pre-sharding behaviour: step
-    // until the ack fires (stopping at the exact ack event).
-    const TimePoint horizon = sharded_.shard(0).now() + timeout;
-    while (!up && sharded_.shard(0).now() < horizon) {
-      if (!sharded_.shard(0).step()) break;
-    }
-  } else {
-    // Sharded fabrics poll on a fixed 1 ms quantum so the instant the
-    // ack is *observed* (and therefore every later schedule) is a pure
-    // function of the quantum — not of window boundaries, which differ
-    // across shard counts.
-    const Duration quantum = Duration::ms(1);
-    const TimePoint horizon = sharded_.now() + timeout;
-    while (!up && sharded_.now() < horizon) {
-      TimePoint stepto = sharded_.now() + quantum;
-      if (stepto > horizon) stepto = horizon;
-      const std::uint64_t ran = sharded_.run_until(stepto);
-      if (ran == 0 && sharded_.events_pending() == 0) break;
-    }
-  }
+  poll(sharded_, timeout, &up);
   engine(head).set_on_circuit_up(nullptr);
   if (!up || !ok) {
     if (reason != nullptr) {
@@ -578,21 +561,7 @@ std::optional<ctrl::CircuitPlan> Network::establish_circuit(
     // bounded window to propagate.
     engine(head).teardown(plan->install.circuit_id,
                           up ? "install rejected" : "install timeout");
-    if (!config_.sharding.enabled()) {
-      const TimePoint drain = sharded_.shard(0).now() + timeout;
-      while (sharded_.shard(0).now() < drain) {
-        if (!sharded_.shard(0).step()) break;
-      }
-    } else {
-      const Duration quantum = Duration::ms(1);
-      const TimePoint drain = sharded_.now() + timeout;
-      while (sharded_.now() < drain) {
-        TimePoint stepto = sharded_.now() + quantum;
-        if (stepto > drain) stepto = drain;
-        const std::uint64_t ran = sharded_.run_until(stepto);
-        if (ran == 0 && sharded_.events_pending() == 0) break;
-      }
-    }
+    poll(sharded_, timeout);
     controller_->release_circuit(plan->install.circuit_id);
     service_control_plane();  // re-signal circuits the failed plan squeezed
     return std::nullopt;
@@ -614,8 +583,7 @@ void Network::teardown_circuit(CircuitId circuit, const std::string& reason) {
 
 void Network::install_manual_circuit(const netmsg::InstallMsg& install) {
   for (const auto& hop : install.hops) {
-    QNETP_ASSERT_MSG(!config_.sharding.enabled() ||
-                         region_of(hop.node) == region_of(install.hops[0].node),
+    QNETP_ASSERT_MSG(region_of(hop.node) == region_of(install.hops[0].node),
                      "manual circuit crosses a region boundary");
     node(hop.node).engine().install_hop(install, hop);
   }

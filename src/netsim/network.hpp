@@ -70,11 +70,6 @@ struct ShardingConfig {
   std::map<NodeId, std::size_t> region_of;
   /// Total regions (>= every region_of value + 1).
   std::size_t regions = 1;
-  /// True when the fabric has a real multi-region partition. Keyed off
-  /// regions — never off `shards` — so the sharded code paths (per-link
-  /// RNG streams, quantized establish polling, per-shard registries)
-  /// behave identically at every worker count.
-  bool enabled() const { return regions > 1; }
 };
 
 struct NetworkConfig {
@@ -127,7 +122,6 @@ class Network {
   const ctrl::Topology& topology() const { return topology_; }
 
   /// Execution partition introspection.
-  bool sharding_enabled() const { return config_.sharding.enabled(); }
   std::size_t region_count() const {
     return std::max<std::size_t>(1, config_.sharding.regions);
   }
@@ -273,10 +267,9 @@ class Network {
   std::map<NodeId, std::unique_ptr<Node>> nodes_;
   std::map<NodeId, qhw::HardwareParams> hardware_;
   std::vector<std::unique_ptr<linklayer::EgpLink>> links_;
-  /// Sharded fabrics fork one RNG stream per link at connect() (in spec
-  /// order, so the streams are reproducible): EgpLinks on different
-  /// shards must not share the network RNG. Classic fabrics keep sharing
-  /// rng_ so every committed digest is untouched.
+  /// One RNG stream per link, forked at connect() in spec order (so the
+  /// streams are reproducible): EgpLinks on different shards must not
+  /// share the network RNG.
   std::vector<std::unique_ptr<Rng>> link_rngs_;
   std::unique_ptr<ctrl::Controller> controller_;
   std::map<CircuitId, NodeId> circuit_heads_;

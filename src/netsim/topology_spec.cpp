@@ -327,15 +327,12 @@ std::unique_ptr<Network> TopologySpec::build(
     const NetworkConfig& config) const {
   validate();
   NetworkConfig cfg = config;
-  // Multi-region specs carry the execution-sharding partition; the
+  // The spec's region tags are the execution-sharding partition; the
   // caller's cfg.sharding.shards picks how many worker loops the regions
-  // fold onto (single-region specs always run the classic path).
-  const std::size_t regions = region_count();
-  if (regions > 1) {
-    cfg.sharding.regions = regions;
-    for (const auto& n : nodes) {
-      if (n.region != 0) cfg.sharding.region_of[n.id] = n.region;
-    }
+  // fold onto (a single region always runs on one).
+  cfg.sharding.regions = region_count();
+  for (const auto& n : nodes) {
+    if (n.region != 0) cfg.sharding.region_of[n.id] = n.region;
   }
   auto net = std::make_unique<Network>(cfg);
   for (const auto& n : nodes) {

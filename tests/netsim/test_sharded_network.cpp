@@ -51,7 +51,6 @@ TEST(ShardedNetwork, RegionFoldIsContiguous) {
   config.seed = 1;
   config.sharding.shards = 2;
   auto net = spec.build(config);
-  EXPECT_TRUE(net->sharding_enabled());
   EXPECT_EQ(net->region_count(), 4u);
   EXPECT_EQ(net->sharded_sim().shard_count(), 2u);
   // Regions 0,1 fold onto shard 0 and regions 2,3 onto shard 1.
@@ -82,7 +81,7 @@ TEST(ShardedNetwork, SingleShardMultiRegionStillGatesOnRegions) {
   NetworkConfig config;
   config.seed = 1;
   auto net = two_region_chains().build(config);
-  EXPECT_TRUE(net->sharding_enabled());
+  EXPECT_EQ(net->region_count(), 2u);
   EXPECT_EQ(net->sharded_sim().shard_count(), 1u);
   std::string reason;
   const auto plan =
@@ -90,6 +89,24 @@ TEST(ShardedNetwork, SingleShardMultiRegionStillGatesOnRegions) {
                              EndpointId{2}, 0.72, {}, &reason);
   EXPECT_FALSE(plan.has_value());
   EXPECT_NE(reason.find("region"), std::string::npos);
+}
+
+TEST(ShardedNetwork, SingleRegionEstablishPollsOnTheQuantum) {
+  // A single-region fabric is regions = 1 of the same path: the install
+  // wait polls on the 1 ms quantum, so establish_circuit returns with the
+  // sharded clock on a whole quantum and the head's loop at that clock.
+  NetworkConfig config;
+  config.seed = 1;
+  auto net = make_chain(3, config, qhw::simulation_preset(),
+                        qhw::FiberParams::lab(2.0));
+  EXPECT_EQ(net->region_count(), 1u);
+  const auto plan = net->establish_circuit(NodeId{1}, NodeId{3}, EndpointId{1},
+                                           EndpointId{2}, 0.8);
+  ASSERT_TRUE(plan.has_value());
+  const TimePoint now = net->sharded_sim().now();
+  EXPECT_GT(now, TimePoint::origin());
+  EXPECT_EQ(now.count_ps() % Duration::ms(1).count_ps(), 0);
+  EXPECT_EQ(net->node_sim(NodeId{1}).now(), now);
 }
 
 TEST(ShardedNetwork, CrossRegionCircuitRejectedAndCapacityReleased) {
