@@ -36,7 +36,7 @@ int main() {
     std::fprintf(stderr, "request rejected: %s\n", reason.c_str());
     return 1;
   }
-  net->sim().run_until(net->sim().now() + 300_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 300_s);
 
   const auto& report = chsh.report();
   std::printf("pairs consumed: %zu\n", report.pairs_consumed);

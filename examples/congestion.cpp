@@ -71,7 +71,7 @@ int main() {
     }
   }
 
-  net->sim().run_until(net->sim().now() + 300_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 300_s);
 
   std::printf("%-8s %-8s %-14s %-12s\n", "circuit", "pairs", "latency [s]",
               "fidelity");

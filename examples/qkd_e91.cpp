@@ -37,7 +37,7 @@ int main() {
     return 1;
   }
 
-  net->sim().run_until(net->sim().now() + 300_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 300_s);
   const auto report = qkd.report();
 
   std::printf("pairs consumed : %zu\n", report.pairs_consumed);
@@ -49,7 +49,7 @@ int main() {
   std::printf("key bits       : %zu, agreement %.2f%%\n", report.key_bits,
               100.0 * report.key_agreement());
   std::printf("elapsed        : %.2f s simulated\n",
-              net->sim().now().as_seconds());
+              net->sharded_sim().now().as_seconds());
 
   // Basic QKD is viable below ~11% QBER (fidelity ~0.8+, Sec. 2.3).
   if (report.qber() > 0.11) {

@@ -56,7 +56,7 @@ int main() {
   }
 
   // 5. Run the simulation and report.
-  net->sim().run_until(net->sim().now() + 30_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 30_s);
   std::printf("\n%-6s %-8s %-12s %-10s\n", "pair", "state", "fidelity",
               "t [ms]");
   for (const auto& p : app.pairs()) {

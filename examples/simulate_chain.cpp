@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  net->sim().run_until(net->sim().now() +
+  net->sharded_sim().run_until(net->sharded_sim().now() +
                        Duration::seconds(opt.horizon_s));
 
   const auto done = app.head_completion(RequestId{1});

@@ -38,7 +38,7 @@ int main() {
     return 1;
   }
 
-  net->sim().run_until(net->sim().now() + 120_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 120_s);
 
   std::printf("%-6s %-10s %-12s %-10s\n", "no.", "BSM", "out fidelity",
               "t [ms]");

@@ -69,11 +69,12 @@ void ChshApp::consume(const Half& a, const Half& b) {
 
   // Delivered side 0 is at the head-end (Alice is the circuit head here).
   auto& pair = *alice_half.delivery.pair;
-  pair.advance_to(net_.sim().now());
+  const TimePoint now = net_.node_sim(alice_).now();
+  pair.advance_to(now);
   // Measure through the pair object so both qubits collapse consistently;
   // outcomes map to +1 (0) and -1 (1).
   Rng& sampler = net_.node(alice_).rng();
-  qstate::TwoQubitState state = pair.state_at(net_.sim().now());
+  qstate::TwoQubitState state = pair.state_at(now);
   const auto [oa, ob] =
       state.measure_both_along(alice_axis, bob_axis, sampler);
 

@@ -55,7 +55,7 @@ void DistillationService::on_delivery(bool at_head,
   }
   if (held.has_head && held.has_tail) {
     held.raw_fidelity =
-        held.head.pair->oracle_fidelity(net_.sim().now());
+        held.head.pair->oracle_fidelity(net_.node_sim(head_).now());
     levels_[0].push_back(held);
     arriving_.erase(d.sequence);
     try_distill();
@@ -87,7 +87,7 @@ void DistillationService::try_distill() {
         QNETP_ASSERT(keep.head.pair != nullptr && burn.head.pair != nullptr);
 
         ++attempts_;
-        const TimePoint now = net_.sim().now();
+        const TimePoint now = net_.node_sim(head_).now();
         const double gate_noise =
             net_.device(head_).hardware().swap_noise().gate_depolarizing;
         auto& rng = net_.node(head_).rng();
@@ -106,7 +106,7 @@ void DistillationService::try_distill() {
     while (!levels_[rounds_].empty()) {
       Held done = levels_[rounds_].front();
       levels_[rounds_].pop_front();
-      const TimePoint now = net_.sim().now();
+      const TimePoint now = net_.node_sim(head_).now();
       const double after = done.head.pair->oracle_fidelity(now);
       gain_sum_ += after - done.raw_fidelity;
       ++gain_count_;

@@ -91,14 +91,14 @@ void TeleportApp::on_pair(const qnp::PairDelivery& d) {
   const Mat2 psi = random_pure_state(rng);
   // Bell measurement between the data qubit and the sender's pair half;
   // the receiver's half becomes the output after the Pauli correction.
-  const auto [out, m] =
-      qstate::teleport(psi, d.pair->state_at(net_.sim().now()), rng);
+  const TimePoint now = net_.node_sim(sender_).now();
+  const auto [out, m] = qstate::teleport(psi, d.pair->state_at(now), rng);
 
   TeleportRecord rec;
   rec.sequence = d.sequence;
   rec.bsm_outcome = m;
   rec.output_fidelity = state_fidelity(psi, out);
-  rec.at = net_.sim().now();
+  rec.at = now;
   records_.push_back(rec);
 
   // Both physical qubits are consumed by the procedure.

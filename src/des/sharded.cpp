@@ -83,6 +83,15 @@ void ShardedSimulator::post(std::size_t src, std::size_t dst, TimePoint at,
 
 const Simulator* ShardedSimulator::executing() { return t_exec.sim; }
 
+TimePoint ShardedSimulator::now() const {
+  QNETP_ASSERT_MSG(t_exec.sim == nullptr,
+                   "global clock read from an executing event; "
+                   "read the shard's own clock");
+  TimePoint min = shards_[0]->now();
+  for (const auto& s : shards_) min = std::min(min, s->now());
+  return min;
+}
+
 std::uint64_t ShardedSimulator::total_executed() const {
   std::uint64_t total = 0;
   for (const auto& s : shards_) total += s->events_executed();
@@ -188,7 +197,6 @@ std::uint64_t ShardedSimulator::run_until(TimePoint horizon) {
   if (S == 1) {
     inject_mailboxes();
     run_shard_window(0, horizon);
-    committed_ = shards_[0]->now();
     return total_executed() - start;
   }
 
@@ -247,12 +255,6 @@ std::uint64_t ShardedSimulator::run_until(TimePoint horizon) {
       if (s->now() < horizon) s->run_until(horizon);
     }
   }
-  // Committed = what every shard has fully executed. After a normal run
-  // all clocks sit at the horizon; after a stop() the stopping shard's
-  // clock is the (correct) minimum.
-  TimePoint committed = shards_[0]->now();
-  for (const auto& s : shards_) committed = std::min(committed, s->now());
-  committed_ = std::max(committed_, committed);
   return total_executed() - start;
 }
 

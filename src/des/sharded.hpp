@@ -83,9 +83,10 @@ class ShardedSimulator {
   void post(std::size_t src, std::size_t dst, TimePoint at,
             std::uint64_t key_hi, std::uint64_t key_lo, UniqueFunction fn);
 
-  /// The committed global clock: every shard has fully executed up to
-  /// here. Updated at window barriers; driver-thread use only.
-  TimePoint now() const { return committed_; }
+  /// The global clock: the minimum shard clock, the instant every shard
+  /// has fully executed up to. Driver-thread use between runs only: an
+  /// executing event reads its own shard's clock (asserted).
+  TimePoint now() const;
 
   /// Run all shards until `horizon` (inclusive, matching
   /// Simulator::run_until) or until every queue and mailbox drains.
@@ -138,7 +139,6 @@ class ShardedSimulator {
   std::vector<Mailbox> mailboxes_;  // [src * S + dst]
   std::optional<Duration> lookahead_;
   std::function<void(std::size_t)> thread_init_;
-  TimePoint committed_ = TimePoint::origin();
   std::atomic<bool> stop_{false};
 
   // Window barrier (only used when shard_count() > 1).

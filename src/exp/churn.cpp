@@ -356,7 +356,6 @@ TrialResult churn_trial(const ChurnConfig& cfg, std::uint64_t seed) {
   result.set("lsas_received", static_cast<double>(ls.lsas_received));
   result.set("lsas_aged_out", static_cast<double>(ls.lsas_aged_out));
   result.set("spf_runs", static_cast<double>(ls.spf_runs));
-  run.net->sharded_sim().stop();
   return result;
 }
 
@@ -407,7 +406,6 @@ TrialResult chaos_trial(const ChurnConfig& cfg, std::uint64_t seed) {
   const std::uint64_t view = view_digest(net.router(net.node_ids().front()));
   result.set("view_digest_lo", static_cast<double>(view & 0xffffffffull));
   result.set("view_digest_hi", static_cast<double>(view >> 32));
-  net.sharded_sim().stop();
   return result;
 }
 

@@ -122,18 +122,19 @@ TrialResult latency_throughput_trial(const LatencyThroughputConfig& cfg,
   // Issue 3-pair requests at fixed intervals over the issue window.
   std::map<RequestId, TimePoint> issued;
   std::uint64_t next_id = 1;
+  des::Simulator& head_sim = net->node_sim(ids.a0);
   std::function<void()> pump = [&] {
     auto req = keep_request(next_id, 3, EndpointId{10}, EndpointId{20});
-    issued[req.id] = net->sim().now();
+    issued[req.id] = head_sim.now();
     // Unadmittable requests (policing) just count as saturation pressure.
     net->engine(ids.a0).submit_request(plan->install.circuit_id, req);
     ++next_id;
-    if (net->sim().now() < TimePoint::origin() + cfg.issue_window) {
-      net->sim().schedule(cfg.request_interval, pump);
+    if (head_sim.now() < TimePoint::origin() + cfg.issue_window) {
+      head_sim.schedule(cfg.request_interval, pump);
     }
   };
-  net->sim().schedule(Duration::zero(), pump);
-  net->sim().run_until(TimePoint::origin() + cfg.horizon);
+  head_sim.schedule(Duration::zero(), pump);
+  net->sharded_sim().run_until(TimePoint::origin() + cfg.horizon);
 
   // Measure over the saturated-equilibrium window.
   const TimePoint window_start = TimePoint::origin() + cfg.measure_from;
@@ -151,8 +152,8 @@ TrialResult latency_throughput_trial(const LatencyThroughputConfig& cfg,
       delivered += 1.0;
     }
   }
-  result.set("events", static_cast<double>(net->sim().events_executed()));
-  net->sim().stop();
+  result.set("events",
+             static_cast<double>(net->sharded_sim().events_executed()));
 
   result.set("ok", latency_s.empty() ? 0.0 : 1.0);
   result.set("throughput",
@@ -201,7 +202,7 @@ TrialResult sharing_trial(const SharingConfig& cfg, std::uint64_t seed) {
   }
 
   // Round-robin request placement (Sec. 5.1), all issued simultaneously.
-  const TimePoint issue_at = net->sim().now();
+  const TimePoint issue_at = net->sharded_sim().now();
   std::vector<std::size_t> request_circuit(cfg.n_requests);
   for (std::size_t r = 0; r < cfg.n_requests; ++r) {
     const std::size_t c = r % cfg.n_circuits;
@@ -213,8 +214,9 @@ TrialResult sharing_trial(const SharingConfig& cfg, std::uint64_t seed) {
     }
   }
 
-  net->sim().run_until(issue_at + cfg.horizon);
-  result.set("events", static_cast<double>(net->sim().events_executed()));
+  net->sharded_sim().run_until(issue_at + cfg.horizon);
+  result.set("events",
+             static_cast<double>(net->sharded_sim().events_executed()));
 
   // Average latency of the requests on circuit 0 (A0-B0).
   RunningStats latency;
@@ -223,12 +225,10 @@ TrialResult sharing_trial(const SharingConfig& cfg, std::uint64_t seed) {
     const auto done = probes[0]->head_completion(RequestId{r + 1});
     if (!done.has_value()) {
       result.set("timeout", 1.0);  // did not finish in the horizon
-      net->sim().stop();
       return result;
     }
     latency.add((*done - issue_at).as_seconds());
   }
-  net->sim().stop();
   result.set("ok", 1.0);
   result.set("latency_s", latency.mean());
   return result;
@@ -272,9 +272,9 @@ TrialResult decoherence_trial(const DecoherenceConfig& cfg,
           keep_request(2, 1000000, EndpointId{11}, EndpointId{21}))) {
     return result;
   }
-  net->sim().run_until(TimePoint::origin() + cfg.horizon);
-  result.set("events", static_cast<double>(net->sim().events_executed()));
-  net->sim().stop();
+  net->sharded_sim().run_until(TimePoint::origin() + cfg.horizon);
+  result.set("events",
+             static_cast<double>(net->sharded_sim().events_executed()));
 
   result.set("ok", 1.0);
   result.set("tput_high", static_cast<double>(p_high.pair_count()) /
@@ -317,10 +317,10 @@ TrialResult message_delay_trial(const MessageDelayConfig& cfg,
   net->engine(ids.a1).submit_request(
       plan_low->install.circuit_id,
       keep_request(2, 1000000, EndpointId{11}, EndpointId{21}));
-  const TimePoint start = net->sim().now();
-  net->sim().run_until(start + cfg.horizon);
-  result.set("events", static_cast<double>(net->sim().events_executed()));
-  net->sim().stop();
+  const TimePoint start = net->sharded_sim().now();
+  net->sharded_sim().run_until(start + cfg.horizon);
+  result.set("events",
+             static_cast<double>(net->sharded_sim().events_executed()));
 
   auto goodput = [&](const netsim::DualProbe& p, double threshold) {
     double good = 0;
@@ -384,9 +384,9 @@ TrialResult near_term_trial(const NearTermConfig& cfg, std::uint64_t seed) {
     return result;
   }
 
-  net->sim().run_until(TimePoint::origin() + cfg.horizon);
-  result.set("events", static_cast<double>(net->sim().events_executed()));
-  net->sim().stop();
+  net->sharded_sim().run_until(TimePoint::origin() + cfg.horizon);
+  result.set("events",
+             static_cast<double>(net->sharded_sim().events_executed()));
 
   for (const auto& p : probe.pairs()) {
     result.add_sample("arrival_s", p.completed_at.as_seconds());
@@ -431,7 +431,7 @@ TrialResult aggregation_trial(const AggregationConfig& cfg,
     circuits.push_back(plan->install.circuit_id);
   }
 
-  const TimePoint start = net->sim().now();
+  const TimePoint start = net->sharded_sim().now();
   for (std::size_t r = 0; r < cfg.k_requests; ++r) {
     const std::size_t c = cfg.aggregate ? 0 : r;
     const EndpointId he{10 + c};
@@ -441,20 +441,17 @@ TrialResult aggregation_trial(const AggregationConfig& cfg,
       return result;
     }
   }
-  net->sim().run_until(start + cfg.horizon);
-  result.set("events", static_cast<double>(net->sim().events_executed()));
+  net->sharded_sim().run_until(start + cfg.horizon);
+  result.set("events",
+             static_cast<double>(net->sharded_sim().events_executed()));
 
   TimePoint last = start;
   for (std::size_t r = 0; r < cfg.k_requests; ++r) {
     const std::size_t c = cfg.aggregate ? 0 : r;
     const auto done = probes[c]->head_completion(RequestId{r + 1});
-    if (!done.has_value()) {
-      net->sim().stop();
-      return result;  // >horizon
-    }
+    if (!done.has_value()) return result;  // >horizon
     last = std::max(last, *done);
   }
-  net->sim().stop();
   result.set("ok", 1.0);
   result.set("makespan_s", (last - start).as_seconds());
   result.set("circuits", static_cast<double>(n_circuits));
@@ -500,9 +497,9 @@ TrialResult cutoff_sweep_trial(const CutoffSweepConfig& cfg,
   net->engine(NodeId{1}).submit_request(
       CircuitId{1},
       keep_request(1, 1000000, EndpointId{10}, EndpointId{20}));
-  net->sim().run_until(TimePoint::origin() + cfg.horizon);
-  result.set("events", static_cast<double>(net->sim().events_executed()));
-  net->sim().stop();
+  net->sharded_sim().run_until(TimePoint::origin() + cfg.horizon);
+  result.set("events",
+             static_cast<double>(net->sharded_sim().events_executed()));
 
   result.set("ok", 1.0);
   result.set("tput", static_cast<double>(probe.pair_count()) /
@@ -534,13 +531,13 @@ TrialResult tracking_trial(const TrackingConfig& cfg, std::uint64_t seed) {
       net->establish_circuit(NodeId{1}, NodeId{4}, EndpointId{10},
                              EndpointId{20}, 0.8, {}, nullptr, 10_s);
   if (!plan) return result;
-  const TimePoint start = net->sim().now();
+  const TimePoint start = net->sharded_sim().now();
   net->engine(NodeId{1}).submit_request(
       plan->install.circuit_id,
       keep_request(1, cfg.pairs, EndpointId{10}, EndpointId{20}));
-  net->sim().run_until(start + cfg.horizon);
-  result.set("events", static_cast<double>(net->sim().events_executed()));
-  net->sim().stop();
+  net->sharded_sim().run_until(start + cfg.horizon);
+  result.set("events",
+             static_cast<double>(net->sharded_sim().events_executed()));
 
   const auto done = probe.head_completion(RequestId{1});
   if (!done.has_value()) return result;
@@ -723,7 +720,7 @@ TrialResult multiflow_trial(const MultiflowConfig& cfg, std::uint64_t seed) {
                             RequestId{i + 1}});
   }
 
-  const TimePoint start = net->sim().now();
+  const TimePoint start = net->sharded_sim().now();
   for (const auto& flow : admitted) {
     qnp::AppRequest req;
     req.id = flow.request;
@@ -733,8 +730,9 @@ TrialResult multiflow_trial(const MultiflowConfig& cfg, std::uint64_t seed) {
     req.num_pairs = cfg.pairs_per_request;
     net->engine(flow.head).submit_request(flow.circuit, req);
   }
-  net->sim().run_until(start + cfg.horizon);
-  result.set("events", static_cast<double>(net->sim().events_executed()));
+  net->sharded_sim().run_until(start + cfg.horizon);
+  result.set("events",
+             static_cast<double>(net->sharded_sim().events_executed()));
 
   double delivered = 0.0;
   double completed = 0.0;
@@ -750,7 +748,6 @@ TrialResult multiflow_trial(const MultiflowConfig& cfg, std::uint64_t seed) {
       result.add_sample("flow_latency_s", (*done - start).as_seconds());
     }
   }
-  net->sim().stop();
 
   result.set("ok", admitted.empty() ? 0.0 : 1.0);
   result.set("admitted", static_cast<double>(admitted.size()));
@@ -789,9 +786,9 @@ TrialResult distillation_trial(const DistillationConfig& cfg,
       NodeId{1}, NodeId{3}, EndpointId{10}, EndpointId{20}, cfg.target);
   if (!plan) return result;
   distiller.start(plan->install.circuit_id, RequestId{1}, cfg.raw_pairs);
-  net->sim().run_until(TimePoint::origin() + cfg.horizon);
-  result.set("events", static_cast<double>(net->sim().events_executed()));
-  net->sim().stop();
+  net->sharded_sim().run_until(TimePoint::origin() + cfg.horizon);
+  result.set("events",
+             static_cast<double>(net->sharded_sim().events_executed()));
 
   result.set("ok", 1.0);
   result.set("out_pairs", static_cast<double>(out_pairs));

@@ -96,7 +96,7 @@ TrialResult shard_scaling_trial(const ShardScalingConfig& cfg,
     f.tail = tail;
     f.head_ep = head_ep;
     f.tail_ep = tail_ep;
-    f.hsim = &ssim.shard(net->shard_of(head));
+    f.hsim = &net->node_sim(head);
     f.arrivals = std::make_unique<ArrivalProcess>(
         cfg.arrivals, derive_stream_seed(seed, 1000 + candidate));
     f.req_base = (candidate + 1) * 1000000;
@@ -212,7 +212,7 @@ TrialResult shard_scaling_trial(const ShardScalingConfig& cfg,
       Ping& p = pings.emplace_back();
       p.from = from;
       p.to = to;
-      p.sim = &ssim.shard(net->shard_of(from));
+      p.sim = &net->node_sim(from);
       p.sim->schedule_at(traffic_start + kBridgePingInterval,
                          [&p, &ping_fn] { ping_fn(p); });
     }

@@ -212,24 +212,25 @@ TrialResult traffic_trial(const TrafficConfig& cfg, std::uint64_t seed) {
     // Head-end handlers: per-request latency/fidelity accounting. Pairs
     // are consumed (released) immediately — the application is a sink.
     qnp::QnpEngine& head_engine = net->engine(endpoints[i].first);
+    des::Simulator* head_sim = &net->node_sim(endpoints[i].first);
     qnp::EndpointHandlers head;
-    head.on_pair = [&, flow_idx](const qnp::PairDelivery& d) {
+    head.on_pair = [&, head_sim, flow_idx](const qnp::PairDelivery& d) {
       if (d.tracking_pending) return;  // EARLY: wait for tracking
       const auto it = pending.find(d.request);
       if (it != pending.end() && d.pair != nullptr) {
         it->second.fidelity_sum +=
-            d.pair->oracle_fidelity(d.state, net->sim().now());
+            d.pair->oracle_fidelity(d.state, head_sim->now());
         ++it->second.fidelity_n;
       }
       if (d.qubit.valid()) {
         net->engine(flows[flow_idx].head).release_app_qubit(d.qubit);
       }
     };
-    head.on_tracking = [&, flow_idx](const qnp::PairDelivery& d) {
+    head.on_tracking = [&, head_sim, flow_idx](const qnp::PairDelivery& d) {
       const auto it = pending.find(d.request);
       if (it != pending.end() && d.pair != nullptr) {
         it->second.fidelity_sum +=
-            d.pair->oracle_fidelity(d.state, net->sim().now());
+            d.pair->oracle_fidelity(d.state, head_sim->now());
         ++it->second.fidelity_n;
       }
       if (d.qubit.valid()) {
@@ -241,11 +242,10 @@ TrialResult traffic_trial(const TrafficConfig& cfg, std::uint64_t seed) {
         net->engine(flows[flow_idx].head).release_app_qubit(qubit);
       }
     };
-    head.on_complete = [&](CircuitId, RequestId id) {
+    head.on_complete = [&, head_sim](CircuitId, RequestId id) {
       const auto it = pending.find(id);
       if (it == pending.end()) return;
-      const double lat =
-          (net->sim().now() - it->second.submitted).as_seconds();
+      const double lat = (head_sim->now() - it->second.submitted).as_seconds();
       completed += 1.0;
       latency_s.add(lat);
       latency_res.add(lat);
@@ -290,7 +290,7 @@ TrialResult traffic_trial(const TrafficConfig& cfg, std::uint64_t seed) {
   result.set("admitted", static_cast<double>(flows.size()));
   if (flows.empty()) return result;
 
-  const TimePoint start = net->sim().now();
+  const TimePoint start = net->sharded_sim().now();
   const TimePoint end = start + cfg.horizon;
   const auto node_ids = net->node_ids();
 
@@ -312,7 +312,10 @@ TrialResult traffic_trial(const TrafficConfig& cfg, std::uint64_t seed) {
   };
 
   // The open-loop pump: submit an AppRequest per arrival, independent of
-  // completions. Requests cycle over admitted circuits.
+  // completions. Requests cycle over admitted circuits. It runs on the
+  // first head's loop, which serves every node of these single-region
+  // fabrics.
+  des::Simulator& pump_sim = net->node_sim(flows.front().head);
   std::uint64_t next_id = 1;
   std::size_t next_flow = 0;
   std::function<void(TimePoint)> pump = [&](TimePoint at) {
@@ -364,18 +367,14 @@ TrialResult traffic_trial(const TrafficConfig& cfg, std::uint64_t seed) {
     }
 
     const TimePoint next = arrivals.next_after(at);
-    if (next < end) {
-      net->sim().schedule(next - net->sim().now(),
-                          [&pump, next] { pump(next); });
-    }
+    if (next < end) pump_sim.schedule_at(next, [&pump, next] { pump(next); });
   };
   const TimePoint first = arrivals.next_after(start);
-  if (first < end) {
-    net->sim().schedule(first - start, [&pump, first] { pump(first); });
-  }
+  if (first < end) pump_sim.schedule_at(first, [&pump, first] { pump(first); });
 
-  net->sim().run_until(end);
-  result.set("events", static_cast<double>(net->sim().events_executed()));
+  net->sharded_sim().run_until(end);
+  result.set("events",
+             static_cast<double>(net->sharded_sim().events_executed()));
 
   // Engine-internal invariants: every engine must account for all of its
   // requests and records (bench asserts consistency_ok == 1).
@@ -386,7 +385,6 @@ TrialResult traffic_trial(const TrafficConfig& cfg, std::uint64_t seed) {
     expired_wholesale +=
         static_cast<double>(net->engine(id).occupancy().expired_wholesale);
   }
-  net->sim().stop();
 
   // Post-warmup occupancy trend. occ_steady is the median window mean
   // and occ_peak the largest single sample; "flat" compares the mean

@@ -89,7 +89,7 @@ std::size_t Network::shard_of(NodeId id) const {
 
 Node& Network::add_node(NodeId id, const qhw::HardwareParams& hw) {
   QNETP_ASSERT_MSG(nodes_.count(id) == 0, "duplicate node id");
-  auto node = std::make_unique<Node>(shard_sim(id), rng_.fork(),
+  auto node = std::make_unique<Node>(node_sim(id), rng_.fork(),
                                      *registries_[shard_of(id)], hw, id,
                                      config_.qnp);
   Node& ref = *node;
@@ -122,7 +122,7 @@ Node& Network::add_node(NodeId id, const qhw::HardwareParams& hw) {
   };
   if (config_.transport.enabled) {
     auto endpoint = std::make_unique<netmsg::ReliableEndpoint>(
-        shard_sim(id), classical_, id, config_.transport);
+        node_sim(id), classical_, id, config_.transport);
     netmsg::ReliableEndpoint* raw = endpoint.get();
     raw->set_deliver(std::move(dispatch));
     // May fire on a shard thread: park the verdict; the driver acts on it
@@ -171,7 +171,7 @@ linklayer::EgpLink& Network::connect(NodeId a, NodeId b,
   // idle and the shard choice below is moot.
   link_rngs_.push_back(std::make_unique<Rng>(rng_.fork()));
   auto egp = std::make_unique<linklayer::EgpLink>(
-      shard_sim(a), *link_rngs_.back(), link_id, na.device(), nb.device(),
+      node_sim(a), *link_rngs_.back(), link_id, na.device(), nb.device(),
       model);
   linklayer::EgpLink& ref = *egp;
   links_.push_back(std::move(egp));
@@ -242,7 +242,7 @@ void Network::enable_linkstate(ctrl::LinkStateConfig config) {
   linkstate_config_ = config;
   view_node_ = nodes_.begin()->first;
   for (const auto& [id, n] : nodes_) {
-    auto router = std::make_unique<ctrl::LinkStateRouter>(shard_sim(id), id,
+    auto router = std::make_unique<ctrl::LinkStateRouter>(node_sim(id), id,
                                                           config);
     if (config_.transport.enabled) {
       // LSA flooding rides the reliable transport too: the periodic

@@ -103,19 +103,13 @@ class Network {
   Network(Network&&) = delete;
   Network& operator=(Network&&) = delete;
 
-  /// The classic single-threaded kernel view. Asserts on multi-shard
-  /// fabrics — driving one shard's loop directly would desynchronize the
-  /// windows; use sharded_sim() there.
-  des::Simulator& sim() {
-    QNETP_ASSERT_MSG(sharded_.shard_count() == 1,
-                     "use sharded_sim() on a multi-shard network");
-    return sharded_.shard(0);
-  }
-  /// The sharded kernel (single-shard for classic fabrics). run_until /
-  /// now / stop on this drive the whole fabric at any shard count.
+  /// The fabric's one clock, for driver code between runs: run_until and
+  /// now on this drive and read the whole fabric at any shard count.
+  /// Its now() asserts when read from inside an event.
   des::ShardedSimulator& sharded_sim() { return sharded_; }
-  /// The event loop (and clock) a node's events run on — safe to read
-  /// from that node's handlers at any shard count.
+  /// The event loop (and clock) a node's events run on: what code inside
+  /// an event (endpoint handlers, applications, self-rescheduling pumps)
+  /// reads and schedules on, at any shard count.
   des::Simulator& node_sim(NodeId id) { return sharded_.shard(shard_of(id)); }
   netmsg::ClassicalNetwork& classical() { return classical_; }
   qdevice::PairRegistry& registry() { return *registries_.front(); }
@@ -237,8 +231,6 @@ class Network {
   }
 
  private:
-  des::Simulator& shard_sim(NodeId id) { return sharded_.shard(shard_of(id)); }
-
   /// Per-link runtime churn state (base routing cost is 1.0).
   struct LinkChurn {
     double cost_scale = 1.0;

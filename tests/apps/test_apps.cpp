@@ -33,7 +33,7 @@ TEST(QkdApp, EstablishesLowQberKey) {
   ASSERT_TRUE(
       qkd.start(plan->install.circuit_id, RequestId{1}, 200, &reason))
       << reason;
-  net->sim().run_until(net->sim().now() + 120_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 120_s);
   ASSERT_TRUE(qkd.finished());
 
   const auto report = qkd.report();
@@ -44,7 +44,6 @@ TEST(QkdApp, EstablishesLowQberKey) {
   EXPECT_LT(report.qber(), 0.11);
   EXPECT_GT(report.key_bits, 40u);
   EXPECT_GT(report.key_agreement(), 0.85);
-  net->sim().stop();
 }
 
 TEST(QkdApp, NoisyNetworkRaisesQber) {
@@ -56,9 +55,8 @@ TEST(QkdApp, NoisyNetworkRaisesQber) {
         NodeId{1}, NodeId{3}, EndpointId{10}, EndpointId{20}, fidelity);
     EXPECT_TRUE(plan.has_value());
     EXPECT_TRUE(qkd.start(plan->install.circuit_id, RequestId{1}, 150));
-    net->sim().run_until(net->sim().now() + 120_s);
+    net->sharded_sim().run_until(net->sharded_sim().now() + 120_s);
     const double qber = qkd.report().qber();
-    net->sim().stop();
     return qber;
   };
   const double clean = run(0.92, 71);
@@ -75,16 +73,15 @@ TEST(TeleportApp, BeatsClassicalBound) {
       NodeId{1}, NodeId{3}, EndpointId{10}, EndpointId{20}, 0.9);
   ASSERT_TRUE(plan.has_value());
   ASSERT_TRUE(app.start(plan->install.circuit_id, RequestId{1}, 15));
-  net->sim().run_until(net->sim().now() + 60_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 60_s);
   ASSERT_EQ(app.records().size(), 15u);
   // Teleportation through F~0.9 pairs: output ~ (2F+1)/3 ~ 0.93.
   EXPECT_GT(app.mean_output_fidelity(), 2.0 / 3.0);
   EXPECT_GT(app.mean_output_fidelity(), 0.8);
   // All four BSM outcomes occur over enough rounds (statistically near
   // certain with 15 rounds, each outcome p=1/4).
-  net->sim().run_until(net->sim().now() + 1_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 1_s);
   EXPECT_TRUE(net->quiescent());
-  net->sim().stop();
 }
 
 TEST(TeleportApp, OutputQualityTracksPairFidelity) {
@@ -96,9 +93,8 @@ TEST(TeleportApp, OutputQualityTracksPairFidelity) {
         NodeId{1}, NodeId{3}, EndpointId{10}, EndpointId{20}, fidelity);
     EXPECT_TRUE(plan.has_value());
     EXPECT_TRUE(app.start(plan->install.circuit_id, RequestId{1}, 20));
-    net->sim().run_until(net->sim().now() + 90_s);
+    net->sharded_sim().run_until(net->sharded_sim().now() + 90_s);
     const double out = app.mean_output_fidelity();
-    net->sim().stop();
     return out;
   };
   EXPECT_GT(run(0.92), run(0.72) - 0.02);
@@ -120,7 +116,7 @@ TEST(Distillation, TwoRoundPumpingRaisesFidelity) {
       NodeId{1}, NodeId{3}, EndpointId{10}, EndpointId{20}, 0.8);
   ASSERT_TRUE(plan.has_value());
   ASSERT_TRUE(distiller.start(plan->install.circuit_id, RequestId{1}, 80));
-  net->sim().run_until(net->sim().now() + 200_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 200_s);
 
   // 80 raw pairs -> 40 first-round attempts plus the surviving second
   // round attempts.
@@ -140,7 +136,6 @@ TEST(Distillation, TwoRoundPumpingRaisesFidelity) {
   mean_after /= static_cast<double>(outputs.size());
   mean_raw /= static_cast<double>(outputs.size());
   EXPECT_GT(mean_after, mean_raw + 0.03);
-  net->sim().stop();
 }
 
 TEST(Distillation, AllQubitsReleasedRegardlessOfOutcome) {
@@ -158,14 +153,13 @@ TEST(Distillation, AllQubitsReleasedRegardlessOfOutcome) {
       NodeId{1}, NodeId{3}, EndpointId{10}, EndpointId{20}, 0.75);
   ASSERT_TRUE(plan.has_value());
   ASSERT_TRUE(distiller.start(plan->install.circuit_id, RequestId{1}, 40));
-  net->sim().run_until(net->sim().now() + 120_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 120_s);
   EXPECT_GT(consumed, 0u);
   // Whether rounds succeed or fail, all qubits must be released
   // (remaining held pairs at intermediate levels are allowed, so release
   // them by tearing the circuit down).
   net->engine(NodeId{1}).teardown(plan->install.circuit_id, "done");
-  net->sim().run_until(net->sim().now() + 5_s);
-  net->sim().stop();
+  net->sharded_sim().run_until(net->sharded_sim().now() + 5_s);
 }
 
 }  // namespace

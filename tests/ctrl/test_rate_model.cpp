@@ -99,10 +99,9 @@ TEST(RateModel, CrossValidatesAgainstFullSimulator) {
   ASSERT_TRUE(
       net->engine(NodeId{1}).submit_request(plan->install.circuit_id, r));
   const Duration horizon = 10_s;
-  net->sim().run_until(TimePoint::origin() + horizon);
+  net->sharded_sim().run_until(TimePoint::origin() + horizon);
   const double measured_rate =
       static_cast<double>(probe.pair_count()) / horizon.as_seconds();
-  net->sim().stop();
 
   // Model with the same working point.
   const auto& model = net->egp(NodeId{1}, NodeId{2})->model();

@@ -119,6 +119,23 @@ TEST(Sharded, PostInsideWindowMustRespectLookahead) {
   EXPECT_THROW(ssim.run_until(TimePoint::origin() + 5_ms), AssertionError);
 }
 
+TEST(Sharded, NowIsTheSlowestShardClock) {
+  // No cached clock: however the shards were driven, now() is the instant
+  // every one of them has reached.
+  ShardedSimulator ssim(2);
+  ssim.shard(0).run_until(TimePoint::origin() + 3_ms);
+  ssim.shard(1).run_until(TimePoint::origin() + 2_ms);
+  EXPECT_EQ(ssim.now(), TimePoint::origin() + 2_ms);
+}
+
+TEST(Sharded, NowReadFromAnEventAsserts) {
+  // Inside an event the global clock is not the event's time; a handler
+  // reads its own shard's clock instead.
+  ShardedSimulator ssim(1);
+  ssim.shard(0).schedule(1_ms, [&] { (void)ssim.now(); });
+  EXPECT_THROW(ssim.run_until(TimePoint::origin() + 5_ms), AssertionError);
+}
+
 TEST(Sharded, PostFromForeignShardAsserts) {
   ShardedSimulator ssim(2);
   ssim.set_lookahead(1_ms);

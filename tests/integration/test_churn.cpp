@@ -56,7 +56,7 @@ TEST(ChurnBattery, EngineTeardownReleasesAdmittedCapacity) {
   // own — no Network::teardown_circuit involved.
   net->engine(NodeId{1}).teardown(plan->install.circuit_id,
                                   "classical connectivity lost");
-  net->sim().run_until(net->sim().now() + 500_ms);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 500_ms);
   net->service_control_plane();
 
   EXPECT_EQ(net->controller()->planned_circuits(), 0u)
@@ -64,7 +64,6 @@ TEST(ChurnBattery, EngineTeardownReleasesAdmittedCapacity) {
   EXPECT_DOUBLE_EQ(total_committed(*net, plan->links), 0.0)
       << "admitted capacity leaked after engine-initiated teardown";
   EXPECT_TRUE(net->quiescent());
-  net->sim().stop();
 }
 
 TEST(ChurnBattery, SeverMidPathLinkTearsDownActiveCircuit) {
@@ -80,12 +79,12 @@ TEST(ChurnBattery, SeverMidPathLinkTearsDownActiveCircuit) {
   ASSERT_TRUE(net->engine(NodeId{1}).submit_request(
       plan->install.circuit_id,
       keep_request(1, 100000, EndpointId{10}, EndpointId{20})));
-  net->sim().run_until(net->sim().now() + 2_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 2_s);
   EXPECT_GT(head_probe.delivered_count(), 0u)
       << "traffic must be flowing pre-churn";
 
   net->sever_link(NodeId{2}, NodeId{3});
-  net->sim().run_until(net->sim().now() + 2_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 2_s);
   net->service_control_plane();
 
   // TEARDOWN was delivered end to end: the head engine dropped the
@@ -100,7 +99,6 @@ TEST(ChurnBattery, SeverMidPathLinkTearsDownActiveCircuit) {
     EXPECT_EQ(net->engine(id).consistency_check(), "")
         << "node " << id.value();
   }
-  net->sim().stop();
 }
 
 TEST(ChurnBattery, KillRelayNodeCleansUpBothSides) {
@@ -116,11 +114,11 @@ TEST(ChurnBattery, KillRelayNodeCleansUpBothSides) {
   ASSERT_TRUE(net->engine(NodeId{1}).submit_request(
       plan->install.circuit_id,
       keep_request(1, 100000, EndpointId{10}, EndpointId{20})));
-  net->sim().run_until(net->sim().now() + 2_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 2_s);
 
   net->fail_node(NodeId{3});
   EXPECT_TRUE(net->node_failed(NodeId{3}));
-  net->sim().run_until(net->sim().now() + 2_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 2_s);
   net->service_control_plane();
 
   EXPECT_FALSE(
@@ -134,7 +132,6 @@ TEST(ChurnBattery, KillRelayNodeCleansUpBothSides) {
     EXPECT_EQ(net->engine(id).consistency_check(), "")
         << "node " << id.value();
   }
-  net->sim().stop();
 }
 
 TEST(ChurnBattery, DegradeIsMetricOnlyAndHealRestoresThePath) {
@@ -201,7 +198,6 @@ TEST(ChurnBattery, DegradeIsMetricOnlyAndHealRestoresThePath) {
   net->service_control_plane();
   EXPECT_EQ(net->controller()->planned_circuits(), 0u);
   EXPECT_TRUE(net->quiescent());
-  ssim.stop();
 }
 
 TEST(ChurnBattery, BestEffortCircuitObservesResidualUpdate) {
@@ -227,9 +223,9 @@ TEST(ChurnBattery, BestEffortCircuitObservesResidualUpdate) {
   const auto guaranteed = net->establish_circuit(
       NodeId{1}, NodeId{3}, EndpointId{11}, EndpointId{21}, 0.8, options);
   ASSERT_TRUE(guaranteed.has_value());
-  net->sim().run_until(net->sim().now() + 1_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 1_s);
   net->service_control_plane();
-  net->sim().run_until(net->sim().now() + 1_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 1_s);
 
   const auto rates_after =
       net->engine(NodeId{1}).circuit_rates(be->install.circuit_id);
@@ -244,19 +240,18 @@ TEST(ChurnBattery, BestEffortCircuitObservesResidualUpdate) {
 
   // Releasing the guarantee re-signals the regrown residual.
   net->teardown_circuit(guaranteed->install.circuit_id, "guarantee over");
-  net->sim().run_until(net->sim().now() + 1_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 1_s);
   net->service_control_plane();
-  net->sim().run_until(net->sim().now() + 1_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 1_s);
   const auto rates_restored =
       net->engine(NodeId{1}).circuit_rates(be->install.circuit_id);
   ASSERT_TRUE(rates_restored.has_value());
   EXPECT_GT(rates_restored->circuit_max_eer, rates_after->circuit_max_eer);
 
   net->teardown_circuit(be->install.circuit_id, "done");
-  net->sim().run_until(net->sim().now() + 500_ms);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 500_ms);
   net->service_control_plane();
   EXPECT_TRUE(net->quiescent());
-  net->sim().stop();
 }
 
 TEST(ChurnBattery, RoutedViewDrivesAdmissionAroundSeveredLink) {
@@ -304,7 +299,6 @@ TEST(ChurnBattery, RoutedViewDrivesAdmissionAroundSeveredLink) {
   net->service_control_plane();
   EXPECT_EQ(net->controller()->planned_circuits(), 0u);
   EXPECT_TRUE(net->quiescent());
-  ssim.stop();
 }
 
 }  // namespace

@@ -52,21 +52,20 @@ TEST_F(ChainTest, DeliversRequestedPairsAtBothEnds) {
   ASSERT_TRUE(net_->engine(head_).submit_request(
       plan_.install.circuit_id, keep_request(1, 5), &reason))
       << reason;
-  net_->sim().run_until(net_->sim().now() + 20_s);
+  net_->sharded_sim().run_until(net_->sharded_sim().now() + 20_s);
 
   EXPECT_EQ(probe_->head_delivery_count(), 5u);
   EXPECT_EQ(probe_->tail_delivery_count(), 5u);
   EXPECT_EQ(probe_->pair_count(), 5u);
   EXPECT_EQ(probe_->unmatched(), 0u);
   EXPECT_TRUE(probe_->head_completion(RequestId{1}).has_value());
-  net_->sim().stop();
 }
 
 TEST_F(ChainTest, BothEndsAgreeOnPairIdentityAndState) {
   build(0.85);
   ASSERT_TRUE(net_->engine(head_).submit_request(plan_.install.circuit_id,
                                                  keep_request(1, 8)));
-  net_->sim().run_until(net_->sim().now() + 30_s);
+  net_->sharded_sim().run_until(net_->sharded_sim().now() + 30_s);
 
   ASSERT_EQ(probe_->pair_count(), 8u);
   EXPECT_EQ(probe_->unmatched(), 0u);
@@ -75,44 +74,40 @@ TEST_F(ChainTest, BothEndsAgreeOnPairIdentityAndState) {
     // Both ends literally hold the two qubits of the same pair object.
     EXPECT_TRUE(p.same_pair_object);
   }
-  net_->sim().stop();
 }
 
 TEST_F(ChainTest, DeliveredFidelityMeetsThreshold) {
   build(0.85);
   ASSERT_TRUE(net_->engine(head_).submit_request(plan_.install.circuit_id,
                                                  keep_request(1, 12)));
-  net_->sim().run_until(net_->sim().now() + 40_s);
+  net_->sharded_sim().run_until(net_->sharded_sim().now() + 40_s);
   ASSERT_EQ(probe_->pair_count(), 12u);
   // The routing computation is a worst-case bound, so the average
   // delivered fidelity must clear the target.
   EXPECT_GE(probe_->mean_fidelity(), 0.85);
   for (const auto& p : probe_->pairs()) EXPECT_GT(p.fidelity, 0.6);
-  net_->sim().stop();
 }
 
 TEST_F(ChainTest, MemoryIsReclaimedAfterCompletion) {
   build(0.85);
   ASSERT_TRUE(net_->engine(head_).submit_request(plan_.install.circuit_id,
                                                  keep_request(1, 4)));
-  net_->sim().run_until(net_->sim().now() + 20_s);
+  net_->sharded_sim().run_until(net_->sharded_sim().now() + 20_s);
   ASSERT_TRUE(probe_->head_completion(RequestId{1}).has_value());
   // Let in-flight link pairs and cutoff discards drain.
-  net_->sim().run_until(net_->sim().now() + 5_s);
+  net_->sharded_sim().run_until(net_->sharded_sim().now() + 5_s);
   EXPECT_TRUE(net_->quiescent());
-  net_->sim().stop();
 }
 
 TEST_F(ChainTest, FiveNodeChainWorks) {
   build(0.75, 5);
   ASSERT_TRUE(net_->engine(head_).submit_request(plan_.install.circuit_id,
                                                  keep_request(1, 4)));
-  net_->sim().run_until(net_->sim().now() + 60_s);
+  net_->sharded_sim().run_until(net_->sharded_sim().now() + 60_s);
   ASSERT_EQ(probe_->pair_count(), 4u);
   EXPECT_EQ(probe_->unmatched(), 0u);
   EXPECT_EQ(probe_->state_mismatches(), 0u);
   EXPECT_GE(probe_->mean_fidelity(), 0.75 - 0.05);
-  net_->sim().stop();
 }
 
 TEST_F(ChainTest, MeasureRequestsDeliverCorrelatedOutcomes) {
@@ -125,7 +120,7 @@ TEST_F(ChainTest, MeasureRequestsDeliverCorrelatedOutcomes) {
   r.final_state = qstate::BellIndex::psi_plus();
   ASSERT_TRUE(
       net_->engine(head_).submit_request(plan_.install.circuit_id, r));
-  net_->sim().run_until(net_->sim().now() + 60_s);
+  net_->sharded_sim().run_until(net_->sharded_sim().now() + 60_s);
 
   ASSERT_EQ(probe_->pair_count(), 40u);
   std::size_t anti = 0;
@@ -136,7 +131,6 @@ TEST_F(ChainTest, MeasureRequestsDeliverCorrelatedOutcomes) {
   }
   // F=0.9 target: the large majority must anti-correlate.
   EXPECT_GE(anti, 32u);
-  net_->sim().stop();
 }
 
 TEST_F(ChainTest, FinalStateCorrectionDeliversRequestedBellState) {
@@ -145,7 +139,7 @@ TEST_F(ChainTest, FinalStateCorrectionDeliversRequestedBellState) {
   r.final_state = qstate::BellIndex::phi_plus();
   ASSERT_TRUE(
       net_->engine(head_).submit_request(plan_.install.circuit_id, r));
-  net_->sim().run_until(net_->sim().now() + 30_s);
+  net_->sharded_sim().run_until(net_->sharded_sim().now() + 30_s);
   ASSERT_EQ(probe_->pair_count(), 6u);
   for (const auto& p : probe_->pairs()) {
     EXPECT_EQ(p.state_head, qstate::BellIndex::phi_plus());
@@ -153,18 +147,16 @@ TEST_F(ChainTest, FinalStateCorrectionDeliversRequestedBellState) {
     // The physical state was rotated into the requested frame.
     EXPECT_GT(p.fidelity, 0.7);
   }
-  net_->sim().stop();
 }
 
 TEST_F(ChainTest, TwoNodeCircuitDegeneratesToLinkLayer) {
   build(0.9, 2);
   ASSERT_TRUE(net_->engine(head_).submit_request(plan_.install.circuit_id,
                                                  keep_request(1, 5)));
-  net_->sim().run_until(net_->sim().now() + 10_s);
+  net_->sharded_sim().run_until(net_->sharded_sim().now() + 10_s);
   EXPECT_EQ(probe_->pair_count(), 5u);
   EXPECT_EQ(probe_->unmatched(), 0u);
   EXPECT_GT(probe_->mean_fidelity(), 0.85);
-  net_->sim().stop();
 }
 
 TEST_F(ChainTest, SequentialRequestsShareTheCircuit) {
@@ -173,13 +165,12 @@ TEST_F(ChainTest, SequentialRequestsShareTheCircuit) {
                                                  keep_request(1, 3)));
   ASSERT_TRUE(net_->engine(head_).submit_request(plan_.install.circuit_id,
                                                  keep_request(2, 3)));
-  net_->sim().run_until(net_->sim().now() + 30_s);
+  net_->sharded_sim().run_until(net_->sharded_sim().now() + 30_s);
   EXPECT_TRUE(probe_->head_completion(RequestId{1}).has_value());
   EXPECT_TRUE(probe_->head_completion(RequestId{2}).has_value());
   EXPECT_EQ(probe_->pairs_for(RequestId{1}).size(), 3u);
   EXPECT_EQ(probe_->pairs_for(RequestId{2}).size(), 3u);
   EXPECT_EQ(probe_->unmatched(), 0u);
-  net_->sim().stop();
 }
 
 TEST_F(ChainTest, DuplicateRequestIdRejected) {
@@ -190,7 +181,6 @@ TEST_F(ChainTest, DuplicateRequestIdRejected) {
   EXPECT_FALSE(net_->engine(head_).submit_request(
       plan_.install.circuit_id, keep_request(1, 3), &reason));
   EXPECT_EQ(reason, "duplicate request id");
-  net_->sim().stop();
 }
 
 }  // namespace

@@ -35,10 +35,10 @@ TEST(FailureInjection, LivenessLossTearsDownTheCircuit) {
   ASSERT_TRUE(plan.has_value());
 
   // Per-hop transport liveness for the circuit.
-  netmsg::TransportConnection conn(net->sim(), net->classical(),
+  netmsg::TransportConnection conn(net->node_sim(NodeId{1}), net->classical(),
                                    plan->install.circuit_id, NodeId{1},
                                    NodeId{2});
-  netmsg::TransportConnection peer(net->sim(), net->classical(),
+  netmsg::TransportConnection peer(net->node_sim(NodeId{2}), net->classical(),
                                    plan->install.circuit_id, NodeId{2},
                                    NodeId{1});
   // NOTE: the production wiring dispatches inbound KEEPALIVEs through the
@@ -60,20 +60,20 @@ TEST(FailureInjection, LivenessLossTearsDownTheCircuit) {
       conn.note_alive();
       peer.note_alive();
     }
-    if (!torn_down) net->sim().schedule(50_ms, feed);
+    if (!torn_down) net->node_sim(NodeId{1}).schedule(50_ms, feed);
   };
-  net->sim().schedule(Duration::zero(), feed);
+  net->node_sim(NodeId{1}).schedule(Duration::zero(), feed);
 
   ASSERT_TRUE(net->engine(NodeId{1}).submit_request(plan->install.circuit_id,
                                                     keep_request(1, 10000)));
-  net->sim().run_until(net->sim().now() + 1_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 1_s);
   EXPECT_FALSE(torn_down);
 
   // Sever the classical channel: keepalives stop, liveness fires, the
   // circuit is torn down and applications are notified.
   link_up = false;
   net->classical().set_link_up(NodeId{1}, NodeId{2}, false);
-  net->sim().run_until(net->sim().now() + 1_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 1_s);
   EXPECT_TRUE(torn_down);
   // Teardown messages to downstream nodes travel over still-working
   // channels (2-3), so node 3 cleaned up; node 2 is unreachable from 1
@@ -81,7 +81,6 @@ TEST(FailureInjection, LivenessLossTearsDownTheCircuit) {
   // The head itself must be clean.
   EXPECT_FALSE(net->engine(NodeId{1}).has_circuit(plan->install.circuit_id));
   EXPECT_TRUE(head_probe.circuit_down());
-  net->sim().stop();
 }
 
 TEST(FailureInjection, InstallTimeoutTearsDownThePartialPrefix) {
@@ -105,7 +104,7 @@ TEST(FailureInjection, InstallTimeoutTearsDownThePartialPrefix) {
   EXPECT_EQ(reason, "install timeout");
 
   // Give any straggling messages time to settle, then audit every hop.
-  net->sim().run_until(net->sim().now() + 1_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 1_s);
   for (std::uint64_t i = 1; i <= 4; ++i) {
     EXPECT_FALSE(net->engine(NodeId{i}).has_circuit(CircuitId{1}))
         << "node " << i << " kept partially installed circuit state";
@@ -120,7 +119,6 @@ TEST(FailureInjection, InstallTimeoutTearsDownThePartialPrefix) {
       NodeId{1}, NodeId{4}, EndpointId{10}, EndpointId{20}, 0.8, {},
       &reason, Duration::seconds(2));
   ASSERT_TRUE(retry.has_value()) << reason;
-  net->sim().stop();
 }
 
 TEST(FailureInjection, NearTermStorageExhaustionDegradesGracefully) {
@@ -157,13 +155,12 @@ TEST(FailureInjection, NearTermStorageExhaustionDegradesGracefully) {
                   EndpointId{20});
   ASSERT_TRUE(net->engine(NodeId{1}).submit_request(CircuitId{1},
                                                     keep_request(1, 2)));
-  net->sim().run_until(net->sim().now() + 30_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 30_s);
   EXPECT_EQ(probe.pair_count(), 0u);
   EXPECT_GT(
       net->engine(NodeId{2}).counters().pairs_discarded_unassigned, 0u);
   net->engine(NodeId{1}).teardown(CircuitId{1}, "test over");
-  net->sim().run_until(net->sim().now() + 1_s);
-  net->sim().stop();
+  net->sharded_sim().run_until(net->sharded_sim().now() + 1_s);
 }
 
 // Chain-length sweep: the protocol works over 2..6 nodes; fidelity
@@ -188,12 +185,11 @@ TEST_P(ChainLength, DeliversConsistentPairs) {
   EXPECT_EQ(plan->path.size(), nodes);
   ASSERT_TRUE(net->engine(NodeId{1}).submit_request(plan->install.circuit_id,
                                                     keep_request(1, 5)));
-  net->sim().run_until(net->sim().now() + 120_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 120_s);
   ASSERT_EQ(probe.pair_count(), 5u);
   EXPECT_EQ(probe.unmatched(), 0u);
   EXPECT_EQ(probe.state_mismatches(), 0u);
   EXPECT_GE(probe.mean_fidelity(), target - 0.06);
-  net->sim().stop();
 }
 
 INSTANTIATE_TEST_SUITE_P(TwoToSixNodes, ChainLength,
@@ -218,13 +214,12 @@ TEST_P(DemuxPolicySweep, ConcurrentRequestsStayConsistent) {
     ASSERT_TRUE(net->engine(NodeId{1}).submit_request(
         plan->install.circuit_id, keep_request(i, 4)));
   }
-  net->sim().run_until(net->sim().now() + 60_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 60_s);
   for (std::uint64_t i = 1; i <= 3; ++i) {
     EXPECT_EQ(probe.pairs_for(RequestId{i}).size(), 4u) << "request " << i;
   }
   EXPECT_EQ(probe.state_mismatches(), 0u);
   EXPECT_EQ(probe.unmatched(), 0u);
-  net->sim().stop();
 }
 
 INSTANTIATE_TEST_SUITE_P(BothPolicies, DemuxPolicySweep,
@@ -242,12 +237,11 @@ TEST(ChshOverNetwork, ViolatesBellInequality) {
       NodeId{1}, NodeId{3}, EndpointId{10}, EndpointId{20}, 0.92);
   ASSERT_TRUE(plan.has_value());
   ASSERT_TRUE(chsh.start(plan->install.circuit_id, RequestId{1}, 400));
-  net->sim().run_until(net->sim().now() + 200_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 200_s);
   ASSERT_TRUE(chsh.finished());
   EXPECT_EQ(chsh.report().pairs_consumed, 400u);
   EXPECT_GT(chsh.report().s_value(), 2.0);
   EXPECT_LT(chsh.report().s_value(), 2.0 * 1.4143);
-  net->sim().stop();
 }
 
 }  // namespace

@@ -35,14 +35,13 @@ SweepResult run_target(double target, std::uint64_t seed) {
   r.num_pairs = 15;
   EXPECT_TRUE(
       net->engine(NodeId{1}).submit_request(plan->install.circuit_id, r));
-  const TimePoint start = net->sim().now();
-  net->sim().run_until(start + 120_s);
+  const TimePoint start = net->sharded_sim().now();
+  net->sharded_sim().run_until(start + 120_s);
   SweepResult out;
   out.mean_fidelity = probe.mean_fidelity();
   const auto done = probe.head_completion(RequestId{1});
   EXPECT_TRUE(done.has_value());
   out.completion = done.value_or(TimePoint::max()) - start;
-  net->sim().stop();
   return out;
 }
 

@@ -81,12 +81,11 @@ TEST(GridTopology, CornerToCornerCircuitDelivers) {
                   .submit_request(plan->install.circuit_id,
                                   keep_request(1, 5, EndpointId{10},
                                                EndpointId{20})));
-  net->sim().run_until(net->sim().now() + 120_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 120_s);
   EXPECT_EQ(probe.pair_count(), 5u);
   EXPECT_EQ(probe.unmatched(), 0u);
   EXPECT_EQ(probe.state_mismatches(), 0u);
   EXPECT_GE(probe.mean_fidelity(), 0.7);
-  net->sim().stop();
 }
 
 TEST(GridTopology, CrossingCircuitsShareTheFabric) {
@@ -112,11 +111,10 @@ TEST(GridTopology, CrossingCircuitsShareTheFabric) {
                   .submit_request(plan2->install.circuit_id,
                                   keep_request(2, 6, EndpointId{11},
                                                EndpointId{21})));
-  net->sim().run_until(net->sim().now() + 120_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 120_s);
   EXPECT_EQ(p1.pair_count(), 6u);
   EXPECT_EQ(p2.pair_count(), 6u);
   EXPECT_EQ(p1.state_mismatches() + p2.state_mismatches(), 0u);
-  net->sim().stop();
 }
 
 TEST(GridTopology, ManyCircuitsThroughTheCentre) {
@@ -151,7 +149,7 @@ TEST(GridTopology, ManyCircuitsThroughTheCentre) {
                                     keep_request(i + 1, 4, flows[i].he,
                                                  flows[i].te)));
   }
-  net->sim().run_until(net->sim().now() + 300_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 300_s);
   std::size_t total = 0;
   for (const auto& p : probes) {
     total += p->pair_count();
@@ -160,7 +158,6 @@ TEST(GridTopology, ManyCircuitsThroughTheCentre) {
   // Contention may slow some flows, but the fabric must make progress on
   // most of them without any consistency violation.
   EXPECT_GE(total, 12u);
-  net->sim().stop();
 }
 
 }  // namespace

@@ -49,15 +49,14 @@ TEST(CutoffBehaviour, ShortMemoryCausesDiscardsButDeliveryContinues) {
   // discard to be near certain at any seed, not only at this one.
   ASSERT_TRUE(net->engine(NodeId{1}).submit_request(plan->install.circuit_id,
                                                     keep_request(1, 40)));
-  net->sim().run_until(net->sim().now() + 60_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 60_s);
   EXPECT_EQ(probe.pair_count(), 40u);
   // With a tight cutoff some pairs must have been discarded along the way.
   const auto& mid = net->engine(NodeId{2}).counters();
   EXPECT_GT(mid.pairs_discarded_cutoff, 0u);
   // And every EXPIRE bounced to an end-node released state: nothing leaks.
-  net->sim().run_until(net->sim().now() + 5_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 5_s);
   EXPECT_TRUE(net->quiescent());
-  net->sim().stop();
 }
 
 TEST(CutoffBehaviour, ExpireReachesEndNodesAndNoHalfPairs) {
@@ -73,14 +72,13 @@ TEST(CutoffBehaviour, ExpireReachesEndNodesAndNoHalfPairs) {
   ASSERT_TRUE(plan.has_value());
   ASSERT_TRUE(net->engine(NodeId{1}).submit_request(plan->install.circuit_id,
                                                     keep_request(1, 8)));
-  net->sim().run_until(net->sim().now() + 120_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 120_s);
   EXPECT_EQ(probe.pair_count(), 8u);
   EXPECT_EQ(probe.unmatched(), 0u);
   const auto& head = net->engine(NodeId{1}).counters();
   const auto& tail = net->engine(NodeId{4}).counters();
   // Discards happened, so EXPIREs must have reached the end-nodes.
   EXPECT_GT(head.expires_received + tail.expires_received, 0u);
-  net->sim().stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -101,7 +99,7 @@ TEST(RequestClasses, EarlyDeliveryHandsQubitBeforeTracking) {
   r.type = RequestType::early;
   ASSERT_TRUE(
       net->engine(NodeId{1}).submit_request(plan->install.circuit_id, r));
-  net->sim().run_until(net->sim().now() + 30_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 30_s);
 
   // Both ends hand each qubit over before its TRACK; the tail does so
   // before the head's numbering reaches it.
@@ -137,7 +135,6 @@ TEST(RequestClasses, EarlyDeliveryHandsQubitBeforeTracking) {
   // Every tail hand-over beyond the five was surplus and got expired.
   EXPECT_EQ(tail.delivered_count(), 5u + tail.expire_count());
   EXPECT_TRUE(net->quiescent());
-  net->sim().stop();
 }
 
 TEST(RequestClasses, EarlyPairsBrokenByCutoffExpireAtBothEnds) {
@@ -185,7 +182,7 @@ TEST(RequestClasses, EarlyPairsBrokenByCutoffExpireAtBothEnds) {
   r.type = RequestType::early;
   ASSERT_TRUE(
       net->engine(NodeId{1}).submit_request(plan->install.circuit_id, r));
-  net->sim().run_until(net->sim().now() + 65_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 65_s);
 
   EXPECT_GT(net->engine(NodeId{2}).counters().pairs_discarded_cutoff, 0u);
   for (const End& end : ends) {
@@ -195,7 +192,6 @@ TEST(RequestClasses, EarlyPairsBrokenByCutoffExpireAtBothEnds) {
     EXPECT_EQ(end.handed_over, end.tracked + end.expired);
   }
   EXPECT_TRUE(net->quiescent());
-  net->sim().stop();
 }
 
 TEST(RequestClasses, RateBasedMeasureRequestStreams) {
@@ -221,7 +217,7 @@ TEST(RequestClasses, RateBasedMeasureRequestStreams) {
   ASSERT_TRUE(net->engine(NodeId{1}).submit_request(plan->install.circuit_id,
                                                     r, &reason))
       << reason;
-  net->sim().run_until(net->sim().now() + 10_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 10_s);
   // A rate-based request never completes; it must keep producing.
   EXPECT_GT(probe.pair_count(), 10u);
   EXPECT_FALSE(probe.head_completion(RequestId{1}).has_value());
@@ -229,7 +225,6 @@ TEST(RequestClasses, RateBasedMeasureRequestStreams) {
     EXPECT_GE(p.outcome_head, 0);
     EXPECT_GE(p.outcome_tail, 0);
   }
-  net->sim().stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -255,7 +250,6 @@ TEST(Policing, RejectsImpossibleDeadline) {
       plan->install.circuit_id, r, &reason));
   EXPECT_EQ(reason, "insufficient end-to-end rate for deadline");
   EXPECT_EQ(net->engine(NodeId{1}).counters().requests_rejected, 1u);
-  net->sim().stop();
 }
 
 TEST(Policing, ShapesDeadlinelessRequestsWhenBooked) {
@@ -284,13 +278,12 @@ TEST(Policing, ShapesDeadlinelessRequestsWhenBooked) {
                                                     keep_request(2, 3)));
   EXPECT_EQ(net->engine(NodeId{1}).counters().requests_shaped, 1u);
 
-  net->sim().run_until(net->sim().now() + 60_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 60_s);
   // Both eventually complete: the shaped one starts after the first.
   ASSERT_TRUE(probe.head_completion(RequestId{1}).has_value());
   ASSERT_TRUE(probe.head_completion(RequestId{2}).has_value());
   EXPECT_GT(*probe.head_completion(RequestId{2}),
             *probe.head_completion(RequestId{1}));
-  net->sim().stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -312,14 +305,13 @@ TEST(Aggregation, MultipleRequestsShareOneCircuitConsistently) {
     ASSERT_TRUE(net->engine(ids.a0).submit_request(plan->install.circuit_id,
                                                    keep_request(i, 5)));
   }
-  net->sim().run_until(net->sim().now() + 120_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 120_s);
   for (std::uint64_t i = 1; i <= 4; ++i) {
     EXPECT_TRUE(probe.head_completion(RequestId{i}).has_value())
         << "request " << i;
     EXPECT_EQ(probe.pairs_for(RequestId{i}).size(), 5u);
   }
   EXPECT_EQ(probe.state_mismatches(), 0u);
-  net->sim().stop();
 }
 
 TEST(Aggregation, TwoCircuitsShareTheBottleneck) {
@@ -339,11 +331,10 @@ TEST(Aggregation, TwoCircuitsShareTheBottleneck) {
                                                  keep_request(1, 6)));
   ASSERT_TRUE(net->engine(ids.a1).submit_request(plan1->install.circuit_id,
                                                  keep_request(2, 6)));
-  net->sim().run_until(net->sim().now() + 120_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 120_s);
   EXPECT_EQ(p0.pair_count(), 6u);
   EXPECT_EQ(p1.pair_count(), 6u);
   EXPECT_EQ(p0.state_mismatches() + p1.state_mismatches(), 0u);
-  net->sim().stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -363,7 +354,7 @@ TEST(TestRounds, EstimatorConvergesNearOracle) {
   ASSERT_TRUE(plan.has_value());
   ASSERT_TRUE(net->engine(NodeId{1}).submit_request(plan->install.circuit_id,
                                                     keep_request(1, 120)));
-  net->sim().run_until(net->sim().now() + 200_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 200_s);
   ASSERT_EQ(probe.pair_count(), 120u);
 
   const auto* est =
@@ -373,7 +364,6 @@ TEST(TestRounds, EstimatorConvergesNearOracle) {
   // The estimate must agree with the oracle-audited delivered fidelity.
   EXPECT_NEAR(est->estimate(), probe.mean_fidelity(), 0.1);
   EXPECT_GT(est->estimate(), 0.8);
-  net->sim().stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -392,9 +382,9 @@ TEST(Teardown, ReleasesAllStateAndNotifiesApps) {
   ASSERT_TRUE(plan.has_value());
   ASSERT_TRUE(net->engine(NodeId{1}).submit_request(plan->install.circuit_id,
                                                     keep_request(1, 1000)));
-  net->sim().run_until(net->sim().now() + 1_s);  // mid-flight
+  net->sharded_sim().run_until(net->sharded_sim().now() + 1_s);  // mid-flight
   net->engine(NodeId{1}).teardown(plan->install.circuit_id, "test teardown");
-  net->sim().run_until(net->sim().now() + 1_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 1_s);
 
   EXPECT_TRUE(head_probe.circuit_down());
   EXPECT_TRUE(tail_probe.circuit_down());
@@ -402,7 +392,6 @@ TEST(Teardown, ReleasesAllStateAndNotifiesApps) {
     EXPECT_FALSE(net->engine(NodeId{n}).has_circuit(plan->install.circuit_id));
   }
   EXPECT_TRUE(net->quiescent());
-  net->sim().stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -423,7 +412,7 @@ TEST(ProtocolModes, BaselineOracleDiscardsLowFidelityPairs) {
   ASSERT_TRUE(plan.has_value());
   ASSERT_TRUE(net->engine(NodeId{1}).submit_request(plan->install.circuit_id,
                                                     keep_request(1, 10)));
-  net->sim().run_until(net->sim().now() + 120_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 120_s);
 
   // No cutoffs fire in baseline mode...
   EXPECT_EQ(net->engine(NodeId{2}).counters().pairs_discarded_cutoff, 0u);
@@ -431,7 +420,6 @@ TEST(ProtocolModes, BaselineOracleDiscardsLowFidelityPairs) {
   for (const auto& p : probe.pairs()) {
     EXPECT_GE(p.fidelity, 0.8 - 0.1);
   }
-  net->sim().stop();
 }
 
 TEST(ProtocolModes, BlockingTrackingStillDeliversButSlower) {
@@ -456,7 +444,7 @@ TEST(ProtocolModes, BlockingTrackingStillDeliversButSlower) {
     r.num_pairs = 10;
     EXPECT_TRUE(
         net->engine(NodeId{1}).submit_request(plan->install.circuit_id, r));
-    net->sim().run_until(net->sim().now() + 300_s);
+    net->sharded_sim().run_until(net->sharded_sim().now() + 300_s);
     EXPECT_EQ(probe.pair_count(), 10u);
     const auto done = probe.head_completion(RequestId{1});
     EXPECT_TRUE(done.has_value());

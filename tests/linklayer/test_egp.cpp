@@ -181,7 +181,6 @@ TEST_F(EgpTest, MemoryExhaustionStallsGeneration) {
   consume(at_a_[1], at_b_[1]);
   sim_.run_until(TimePoint::origin() + 4_s);
   EXPECT_GT(at_a_.size(), 2u);
-  sim_.stop();
 }
 
 TEST_F(EgpTest, CancelStopsContinuousGeneration) {
@@ -199,7 +198,6 @@ TEST_F(EgpTest, CancelStopsContinuousGeneration) {
   sim_.run_until(TimePoint::origin() + 1_s);
   EXPECT_EQ(at_a_.size(), count);
   EXPECT_FALSE(link_.busy());
-  sim_.stop();
 }
 
 TEST_F(EgpTest, TwoPurposesShareLinkFairly) {
@@ -227,7 +225,6 @@ TEST_F(EgpTest, TwoPurposesShareLinkFairly) {
   const int total = counts[LinkLabel{1}] + counts[LinkLabel{2}];
   ASSERT_GT(total, 100);
   EXPECT_NEAR(static_cast<double>(counts[LinkLabel{1}]) / total, 0.5, 0.1);
-  sim_.stop();
 }
 
 TEST_F(EgpTest, MeanGenerationTimeMatchesFig5Anchor) {
@@ -253,7 +250,6 @@ TEST_F(EgpTest, MeanGenerationTimeMatchesFig5Anchor) {
       arrivals_ms.back() / static_cast<double>(arrivals_ms.size());
   EXPECT_GT(mean_gap, 6.0);
   EXPECT_LT(mean_gap, 14.0);
-  sim_.stop();
 }
 
 }  // namespace

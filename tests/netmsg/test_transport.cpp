@@ -61,7 +61,6 @@ TEST_F(TransportTest, HealthyConnectionStaysUp) {
   EXPECT_FALSE(a_down);
   EXPECT_FALSE(b_down);
   EXPECT_FALSE(a_.is_down());
-  sim_.stop();
 }
 
 TEST_F(TransportTest, SeveredChannelTriggersOnDown) {
@@ -75,7 +74,6 @@ TEST_F(TransportTest, SeveredChannelTriggersOnDown) {
   sim_.run_until(TimePoint::origin() + 300_ms);
   EXPECT_TRUE(a_down);
   EXPECT_TRUE(a_.is_down());
-  sim_.stop();
 }
 
 TEST_F(TransportTest, DownConnectionStopsSending) {
@@ -89,7 +87,6 @@ TEST_F(TransportTest, DownConnectionStopsSending) {
   e.origin_correlator = PairCorrelator{LinkId{1}, 1};
   a_.send(e);  // silently ignored: connection is dead
   EXPECT_EQ(net_.messages_dropped(), dropped_before);
-  sim_.stop();
 }
 
 TEST_F(TransportTest, DataTrafficCountsAsLiveness) {
@@ -108,7 +105,6 @@ TEST_F(TransportTest, DataTrafficCountsAsLiveness) {
   sim_.schedule(Duration::zero(), pump);
   sim_.run_until(TimePoint::origin() + 300_ms);
   EXPECT_FALSE(b_down);
-  sim_.stop();
 }
 
 TEST_F(TransportTest, KeepaliveParameterValidation) {

@@ -190,7 +190,7 @@ TEST(TopologySpec, GridTwoConcurrentCircuitsOracleAudited) {
   ASSERT_TRUE(net->engine(NodeId{2}).submit_request(
       plan2->install.circuit_id,
       keep_request(2, 6, EndpointId{11}, EndpointId{21})));
-  net->sim().run_until(net->sim().now() + 120_s);
+  net->sharded_sim().run_until(net->sharded_sim().now() + 120_s);
 
   for (const DualProbe* p : {&p1, &p2}) {
     EXPECT_EQ(p->pair_count(), 6u);
@@ -200,7 +200,6 @@ TEST(TopologySpec, GridTwoConcurrentCircuitsOracleAudited) {
   }
   EXPECT_TRUE(net->controller() != nullptr);
   EXPECT_EQ(net->controller()->planned_circuits(), 2u);
-  net->sim().stop();
 }
 
 TEST(TopologySpec, AdmissionRejectionDeterministicUnderIdenticalSeeds) {
@@ -222,7 +221,6 @@ TEST(TopologySpec, AdmissionRejectionDeterministicUnderIdenticalSeeds) {
           NodeId{1}, NodeId{4}, EndpointId{10}, EndpointId{20}, 0.8);
       EXPECT_TRUE(probe.has_value());
       cap = probe->max_eer;
-      probe_net->sim().stop();
     }
     ctrl::CircuitPlanOptions options;
     options.requested_eer = 0.7 * cap;
@@ -243,7 +241,6 @@ TEST(TopologySpec, AdmissionRejectionDeterministicUnderIdenticalSeeds) {
         outcomes.push_back("rejected");
       }
     }
-    net->sim().stop();
     return outcomes;
   };
 

@@ -51,10 +51,10 @@ class EngineGc : public ::testing::Test {
     r.type = netmsg::RequestType::keep;
     r.num_pairs = 200;  // stays active well past the cut
     EXPECT_TRUE(head().submit_request(plan_.install.circuit_id, r));
-    net_->sim().run_until(net_->sim().now() + 150_ms);
+    net_->sharded_sim().run_until(net_->sharded_sim().now() + 150_ms);
     EXPECT_GT(tail().occupancy().live, 0u);  // pairs in flight at the cut
     net_->classical().set_link_up(NodeId{2}, NodeId{3}, false);
-    return net_->sim().now();
+    return net_->sharded_sim().now();
   }
 
   /// The engine's record TTL for this circuit (see gc_records).
@@ -90,7 +90,7 @@ TEST_F(EngineGc, StrandedPairsSurviveUntilTheTtlHorizon) {
   // Entries live at the cut were stamped at most cutoff+slack ago (older
   // ones were resolved by the still-healthy protocol). Just short of
   // stamp+TTL the GC floor lies before all of them: none may expire.
-  net_->sim().run_until(cut + record_ttl() - plan_.cutoff -
+  net_->sharded_sim().run_until(cut + record_ttl() - plan_.cutoff -
                         Duration::seconds(0.5));
   poke_tail_gc(999999);
   EXPECT_EQ(tail().counters().pairs_discarded_unassigned, base);
@@ -99,21 +99,20 @@ TEST_F(EngineGc, StrandedPairsSurviveUntilTheTtlHorizon) {
   // Past cut+TTL every stranded entry is a full TTL overdue: wholesale
   // expiry reclaims all of them (plus any straggler that landed right
   // after the cut) at once.
-  net_->sim().run_until(cut + record_ttl() + Duration::seconds(0.5));
+  net_->sharded_sim().run_until(cut + record_ttl() + Duration::seconds(0.5));
   poke_tail_gc(999999);
   EXPECT_GE(tail().counters().pairs_discarded_unassigned,
             base + live_at_cut);
   EXPECT_EQ(tail().occupancy().live, 0u);
   EXPECT_GE(tail().occupancy().expired_wholesale, live_at_cut);
   EXPECT_EQ(tail().consistency_check(), "");
-  net_->sim().stop();
 }
 
 TEST_F(EngineGc, LateTracksAfterWholesaleExpiryAreIgnored) {
   const TimePoint cut = stream_then_cut();
   const std::uint64_t live_at_cut = tail().occupancy().live;
   const std::uint64_t base = tail().counters().pairs_discarded_unassigned;
-  net_->sim().run_until(cut + record_ttl() + Duration::seconds(0.5));
+  net_->sharded_sim().run_until(cut + record_ttl() + Duration::seconds(0.5));
 
   // Replay TRACKs for the first thirty 2-3 link pairs: every correlator
   // was either delivered long ago or just wholesale-expired (the first
@@ -127,7 +126,6 @@ TEST_F(EngineGc, LateTracksAfterWholesaleExpiryAreIgnored) {
   EXPECT_EQ(tail().counters().cross_check_failures, 0u);
   EXPECT_EQ(tail().occupancy().live, 0u);
   EXPECT_EQ(tail().consistency_check(), "");
-  net_->sim().stop();
 }
 
 TEST_F(EngineGc, OccupancyCountersStayConsistentAcrossChurn) {
@@ -138,7 +136,7 @@ TEST_F(EngineGc, OccupancyCountersStayConsistentAcrossChurn) {
   r.type = netmsg::RequestType::keep;
   r.num_pairs = 6;
   ASSERT_TRUE(head().submit_request(plan_.install.circuit_id, r));
-  net_->sim().run_until(net_->sim().now() + 30_s);
+  net_->sharded_sim().run_until(net_->sharded_sim().now() + 30_s);
   ASSERT_EQ(probe_->pair_count(), 6u);
 
   for (QnpEngine* e : {&head(), &mid(), &tail()}) {
@@ -153,13 +151,12 @@ TEST_F(EngineGc, OccupancyCountersStayConsistentAcrossChurn) {
   // while the wholesale-expiry total survives the circuit's erasure.
   const std::uint64_t expired_before = mid().occupancy().expired_wholesale;
   head().teardown(plan_.install.circuit_id, "gc occupancy test");
-  net_->sim().run_until(net_->sim().now() + 100_ms);
+  net_->sharded_sim().run_until(net_->sharded_sim().now() + 100_ms);
   for (QnpEngine* e : {&head(), &mid(), &tail()}) {
     EXPECT_EQ(e->occupancy().live, 0u);
     EXPECT_EQ(e->consistency_check(), "");
   }
   EXPECT_EQ(mid().occupancy().expired_wholesale, expired_before);
-  net_->sim().stop();
 }
 
 }  // namespace

@@ -122,15 +122,14 @@ TEST_F(EngineRules, UnassignedPairsAreDiscardedAtBothEnds) {
   req.continuous = false;
   req.num_pairs = 3;
   egp->submit(req);
-  net_->sim().run_until(net_->sim().now() + 5_s);
+  net_->sharded_sim().run_until(net_->sharded_sim().now() + 5_s);
 
   EXPECT_EQ(head().counters().pairs_discarded_unassigned, 3u);
   EXPECT_EQ(probe_->pair_count(), 0u);
   // The null TRACKs released the partner qubits at the far side: nothing
   // leaks.
-  net_->sim().run_until(net_->sim().now() + 1_s);
+  net_->sharded_sim().run_until(net_->sharded_sim().now() + 1_s);
   EXPECT_TRUE(net_->quiescent());
-  net_->sim().stop();
 }
 
 TEST_F(EngineRules, CountersTellAConsistentStory) {
@@ -141,7 +140,7 @@ TEST_F(EngineRules, CountersTellAConsistentStory) {
   r.type = netmsg::RequestType::keep;
   r.num_pairs = 6;
   ASSERT_TRUE(head().submit_request(plan_.install.circuit_id, r));
-  net_->sim().run_until(net_->sim().now() + 30_s);
+  net_->sharded_sim().run_until(net_->sharded_sim().now() + 30_s);
   ASSERT_EQ(probe_->pair_count(), 6u);
 
   const auto& h = head().counters();
@@ -161,7 +160,6 @@ TEST_F(EngineRules, CountersTellAConsistentStory) {
   // The middle node forwarded TRACKs in both directions.
   EXPECT_GE(m.tracks_forwarded, 12u);
   EXPECT_EQ(h.cross_check_failures, 0u);
-  net_->sim().stop();
 }
 
 TEST_F(EngineRules, HasCircuitAndTeardownLifecycle) {
@@ -169,13 +167,12 @@ TEST_F(EngineRules, HasCircuitAndTeardownLifecycle) {
   EXPECT_TRUE(mid().has_circuit(plan_.install.circuit_id));
   EXPECT_TRUE(tail().has_circuit(plan_.install.circuit_id));
   head().teardown(plan_.install.circuit_id, "lifecycle test");
-  net_->sim().run_until(net_->sim().now() + 100_ms);
+  net_->sharded_sim().run_until(net_->sharded_sim().now() + 100_ms);
   EXPECT_FALSE(head().has_circuit(plan_.install.circuit_id));
   EXPECT_FALSE(mid().has_circuit(plan_.install.circuit_id));
   EXPECT_FALSE(tail().has_circuit(plan_.install.circuit_id));
   // Tearing down again is a no-op.
   head().teardown(plan_.install.circuit_id, "again");
-  net_->sim().stop();
 }
 
 TEST_F(EngineRules, FidelityEstimateAccessor) {
