@@ -14,10 +14,6 @@ Controller::Controller(const Topology& topology, qhw::HardwareParams hardware,
                        ControllerConfig config)
     : topology_(topology), hardware_(std::move(hardware)), config_(config) {
   hardware_.validate();
-  QNETP_ASSERT(config_.max_link_utilisation > 0.0 &&
-               config_.max_link_utilisation <= 1.0);
-  QNETP_ASSERT(config_.min_residual_fraction >= 0.0 &&
-               config_.min_residual_fraction < 1.0);
 }
 
 bool Controller::plan_on_path(const std::vector<NodeId>& path,
@@ -41,9 +37,7 @@ bool Controller::plan_on_path(const std::vector<NodeId>& path,
     links.push_back(l);
   }
 
-  const Duration memory_t2 = (options.memory_t2_override > Duration::zero())
-                                 ? options.memory_t2_override
-                                 : hardware_.phys.electron_t2;
+  const Duration memory_t2 = hardware_.phys.electron_t2;
 
   // The cutoff and the required link fidelity depend on each other;
   // resolve by fixed-point iteration (converges in a few rounds: the
@@ -68,8 +62,11 @@ bool Controller::plan_on_path(const std::vector<NodeId>& path,
         }
         cutoff = worst;
       } else {
+        // "The time it takes a link-pair to lose approximately 1.5% of its
+        // initial fidelity" (Sec. 5).
+        constexpr double kCutoffLossFraction = 0.015;
         cutoff = FidelityModel::cutoff_for_fidelity_loss(
-            link_fidelity, options.cutoff_loss_fraction, memory_t2);
+            link_fidelity, kCutoffLossFraction, memory_t2);
         if (cutoff == Duration::max()) {
           // No decay at all: any large-but-finite window works.
           cutoff = 60_s;
@@ -138,7 +135,7 @@ bool Controller::plan_on_path(const std::vector<NodeId>& path,
       return fail("admission: no circuit slot left on " +
                   links[i]->id.to_string());
     }
-    const double usable = link_capacity[i] * config_.max_link_utilisation;
+    const double usable = link_capacity[i];
     const double residual = usable - reserved;
     if (guaranteed) {
       if (lpr_need > usable + 1e-12) {
@@ -152,7 +149,10 @@ bool Controller::plan_on_path(const std::vector<NodeId>& path,
       grants->push_back(PathGrant{links[i]->id, lpr_need, lpr_need, usable});
       admitted_bottleneck = std::min(admitted_bottleneck, lpr_need);
     } else {
-      if (residual < config_.min_residual_fraction * link_capacity[i]) {
+      // A best-effort circuit is refused when less than this fraction of
+      // a link's capacity remains unreserved: it could not make progress.
+      constexpr double kMinResidualFraction = 0.01;
+      if (residual < kMinResidualFraction * link_capacity[i]) {
         return fail("admission: " + links[i]->id.to_string() +
                     " saturated by installed circuits");
       }

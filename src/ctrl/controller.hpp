@@ -33,18 +33,11 @@
 namespace qnetp::ctrl {
 
 struct CircuitPlanOptions {
-  /// Fractional link-pair fidelity loss that defines the cutoff ("the
-  /// time it takes a link-pair to lose approximately 1.5% of its initial
-  /// fidelity", Sec. 5).
-  double cutoff_loss_fraction = 0.015;
   /// Alternative "shorter cutoff": the time by which a link-pair is
   /// generated with this probability (0 disables; Sec. 5.1 uses 0.85).
   double cutoff_generation_quantile = 0.0;
   /// Override the cutoff entirely (manual tuning, Sec. 5.3).
   Duration cutoff_override = Duration::zero();
-  /// Memory T2 assumed by the worst-case model (zero = take it from the
-  /// hardware profile).
-  Duration memory_t2_override = Duration::zero();
   /// Guaranteed end-to-end rate demand (pairs/s). The controller
   /// hard-reserves the link capacity needed to sustain it and rejects the
   /// circuit when no candidate path has that much left. 0 = best-effort:
@@ -70,15 +63,9 @@ struct CircuitPlan {
 
 /// Capacity-model knobs for admission control.
 struct ControllerConfig {
-  /// Fraction of each link's pair-rate capacity the controller may hand
-  /// out in total (headroom below 1.0 keeps links un-saturated).
-  double max_link_utilisation = 1.0;
   /// Maximum concurrent circuits per link, modelling the communication
   /// qubits a link can dedicate to distinct purposes (0 = unlimited).
   std::size_t max_circuits_per_link = 0;
-  /// A best-effort circuit is refused when less than this fraction of a
-  /// link's capacity remains unreserved (it could not make progress).
-  double min_residual_fraction = 0.01;
 };
 
 class Controller {

@@ -5,6 +5,15 @@
 
 namespace qnetp::netmsg {
 
+namespace {
+
+/// First retransmission timeout (must exceed the channel round trip).
+constexpr Duration kInitialRto = Duration::ms(10);
+/// Backoff cap: the timeout doubles per retry but never beyond this.
+constexpr Duration kRtoCap = Duration::ms(160);
+
+}  // namespace
+
 TransportConnection::TransportConnection(des::Simulator& sim,
                                          ClassicalNetwork& net,
                                          CircuitId circuit, NodeId local,
@@ -78,8 +87,6 @@ ReliableEndpoint::ReliableEndpoint(des::Simulator& sim, ClassicalNetwork& net,
                                    NodeId local, ReliableConfig config)
     : sim_(sim), net_(net), local_(local), config_(config) {
   QNETP_ASSERT(local.valid());
-  QNETP_ASSERT(config_.initial_rto > Duration::zero());
-  QNETP_ASSERT(config_.rto_cap >= config_.initial_rto);
   QNETP_ASSERT(config_.max_retries > 0);
   QNETP_ASSERT(config_.reorder_window > 0);
 }
@@ -88,7 +95,7 @@ ReliableEndpoint::Peer& ReliableEndpoint::peer_state(NodeId peer) {
   const auto it = peers_.find(peer);
   if (it != peers_.end()) return it->second;
   Peer& p = peers_[peer];
-  p.rto = config_.initial_rto;
+  p.rto = kInitialRto;
   return p;
 }
 
@@ -142,7 +149,7 @@ void ReliableEndpoint::on_retransmit_timer(NodeId to) {
   ++stats_.retransmits;
   transmit(to, p, p.unacked.front().first, p.unacked.front().second);
   const Duration doubled = p.rto + p.rto;
-  p.rto = doubled < config_.rto_cap ? doubled : config_.rto_cap;
+  p.rto = doubled < kRtoCap ? doubled : kRtoCap;
   arm_retransmit(to);
 }
 
@@ -170,7 +177,7 @@ void ReliableEndpoint::handle_frame(NodeId from, const FrameMsg& frame) {
   }
   if (progressed) {
     p.retries = 0;
-    p.rto = config_.initial_rto;
+    p.rto = kInitialRto;
     p.retransmit.cancel();
     if (!p.unacked.empty()) arm_retransmit(from);
   }

@@ -94,10 +94,6 @@ struct ReliableConfig {
   /// Off by default: the classic fabric is reliable and every committed
   /// digest depends on the unwrapped wire format.
   bool enabled = false;
-  /// First retransmission timeout (must exceed the channel round trip).
-  Duration initial_rto = Duration::ms(10);
-  /// Backoff cap: the timeout doubles per retry but never beyond this.
-  Duration rto_cap = Duration::ms(160);
   /// Unanswered retransmissions of the oldest frame before the peer is
   /// declared dead.
   std::size_t max_retries = 8;
