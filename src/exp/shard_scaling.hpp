@@ -30,7 +30,8 @@ struct ShardScalingConfig {
   /// Concurrent circuits established inside each region (3-hop, or the
   /// longest hop count the grid supports).
   std::size_t circuits_per_region = 13;
-  /// Worker event loops; must be <= regions. 1 = the classic kernel.
+  /// Worker event loops; must be <= regions. 1 = every region on the
+  /// driver thread, no workers.
   std::size_t shards = 1;
 
   std::uint64_t pairs_per_request = 2;

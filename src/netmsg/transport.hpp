@@ -91,8 +91,8 @@ class TransportConnection {
 /// Knobs of the reliable signalling transport (one ReliableEndpoint per
 /// node; netsim::NetworkConfig carries one of these).
 struct ReliableConfig {
-  /// Off by default: the classic fabric is reliable and every committed
-  /// digest depends on the unwrapped wire format.
+  /// Off by default: the paper's classical fabric is reliable and every
+  /// committed digest depends on the unwrapped wire format.
   bool enabled = false;
   /// Unanswered retransmissions of the oldest frame before the peer is
   /// declared dead.

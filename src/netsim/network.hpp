@@ -52,7 +52,8 @@ class Node {
   std::map<NodeId, linklayer::EgpLink*> neighbours_;
 };
 
-/// Execution sharding of one fabric (conservative-parallel DES).
+/// Execution sharding of one fabric (conservative-parallel DES). Every
+/// fabric runs on it; a single-region fabric is simply regions = 1.
 ///
 /// The partition has two layers so behaviour never depends on the worker
 /// count: `region_of` is the *logical* partition (fixed by the
@@ -82,7 +83,8 @@ struct NetworkConfig {
   std::size_t storage_qubits = 0;
   /// Capacity model the central controller admits circuits against.
   ctrl::ControllerConfig admission;
-  /// Conservative-parallel execution partition (defaults to none).
+  /// Conservative-parallel execution partition (defaults to one region;
+  /// TopologySpec::build() fills it from the spec's region tags).
   ShardingConfig sharding;
   /// Fault injection on every classical channel (inert by default; the
   /// committed digests depend on the fault-free fast path).
