@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
   }
 
   net->sharded_sim().run_until(net->sharded_sim().now() +
-                       Duration::seconds(opt.horizon_s));
+                              Duration::seconds(opt.horizon_s));
 
   const auto done = app.head_completion(RequestId{1});
   std::printf("\ndelivered %zu/%llu pairs", app.pair_count(),

@@ -91,7 +91,7 @@ TEST_F(EngineGc, StrandedPairsSurviveUntilTheTtlHorizon) {
   // ones were resolved by the still-healthy protocol). Just short of
   // stamp+TTL the GC floor lies before all of them: none may expire.
   net_->sharded_sim().run_until(cut + record_ttl() - plan_.cutoff -
-                        Duration::seconds(0.5));
+                               Duration::seconds(0.5));
   poke_tail_gc(999999);
   EXPECT_EQ(tail().counters().pairs_discarded_unassigned, base);
   EXPECT_GE(tail().occupancy().live, live_at_cut);
