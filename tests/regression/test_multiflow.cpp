@@ -4,25 +4,31 @@
 // scenario subsystem: multiflow trials (TopologySpec-built fabrics, the
 // admission-aware controller, concurrent circuits) must replay
 // bit-identically for a fixed seed and aggregate bit-identically across
-// worker counts. Runs on the grid and on the per-trial-seeded Waxman
-// family so both deterministic construction paths are covered.
+// worker counts, and their aggregate digests are pinned against
+// tests/regression/golden/multiflow.txt. Runs on the grid and on the
+// per-trial-seeded Waxman family so both deterministic construction
+// paths are covered.
 //
-// QNETP_REGRESSION_QUICK=1 (CI smoke) halves the trial counts.
+// Environment knobs (see digest_golden.hpp): QNETP_REGEN_GOLDEN=1 and
+// QNETP_REGRESSION_QUICK=1, which halves the jobs-sweep trial count. The
+// digest-pinned configs run identically in both modes.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <map>
+#include <string>
 
 #include "exp/runner.hpp"
 #include "exp/scenarios.hpp"
 #include "exp/summary.hpp"
+#include "tests/regression/digest_golden.hpp"
 
 namespace qnetp::exp {
 namespace {
 
-bool quick_mode() {
-  const char* v = std::getenv("QNETP_REGRESSION_QUICK");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
+DigestGolden* const kGolden =
+    static_cast<DigestGolden*>(::testing::AddGlobalTestEnvironment(
+        new DigestGolden("multiflow.txt", "multiflow regression",
+                         "qnetp_regression_test_multiflow")));
 
 MultiflowConfig grid_config() {
   MultiflowConfig cfg;
@@ -48,6 +54,20 @@ std::uint64_t result_digest(const TrialResult& r) {
   SummaryAccumulator acc;
   acc.add(r);
   return acc.digest();
+}
+
+TEST(MultiflowRegression, DigestMatchesGolden) {
+  // Fixed trial count in BOTH modes: the digest covers every trial.
+  const std::map<std::string, MultiflowConfig> configs = {
+      {"multiflow.grid3.digest", grid_config()},
+      {"multiflow.waxman10.digest", waxman_config()},
+  };
+  for (const auto& [name, cfg] : configs) {
+    const auto acc = SummaryAccumulator::aggregate(
+        TrialRunner({1, 0x3F10D}).run(
+            3, [&](const Trial& t) { return multiflow_trial(cfg, t.seed); }));
+    kGolden->check(name, digest_hex(acc));
+  }
 }
 
 TEST(MultiflowRegression, SameSeedSameExecution) {
