@@ -38,8 +38,8 @@ namespace {
 
 exp::ChurnConfig base_config(bool quick) {
   exp::ChurnConfig cfg = exp::chaos_config();
-  cfg.family = exp::TopologyFamily::grid;
-  cfg.size = 3;
+  cfg.fabric.family = exp::TopologyFamily::grid;
+  cfg.fabric.size = 3;
   cfg.n_circuits = 3;
   cfg.horizon = 20_s;
   if (quick) {
@@ -61,9 +61,9 @@ exp::ChurnConfig loss_config(bool quick, double loss) {
 
 exp::ChurnConfig regions_config(bool quick) {
   exp::ChurnConfig cfg = base_config(quick);
-  cfg.regions = 4;
-  cfg.region_rows = 2;
-  cfg.region_cols = 3;
+  cfg.fabric.regions = 4;
+  cfg.fabric.region_rows = 2;
+  cfg.fabric.region_cols = 3;
   cfg.n_circuits = 2;
   return cfg;
 }
@@ -79,7 +79,7 @@ exp::ChurnConfig cut_config(bool quick, exp::ChurnEventKind kind) {
 
 exp::TrialRunner::TrialFn chaos(exp::ChurnConfig cfg,
                                 std::size_t shards = 1) {
-  cfg.shards = shards;
+  cfg.fabric.shards = shards;
   return [cfg](const exp::Trial& t) { return exp::chaos_trial(cfg, t.seed); };
 }
 

@@ -31,23 +31,23 @@ namespace {
 
 exp::ChurnConfig family_config(exp::TopologyFamily family, bool quick) {
   exp::ChurnConfig cfg;
-  cfg.family = family;
+  cfg.fabric.family = family;
   cfg.n_circuits = 3;
   cfg.n_guaranteed = 1;
   cfg.requested_eer = 0.5;
   switch (family) {
     case exp::TopologyFamily::grid:
-      cfg.size = 3;
+      cfg.fabric.size = 3;
       break;
     case exp::TopologyFamily::ring:
-      cfg.size = 8;
+      cfg.fabric.size = 8;
       break;
     case exp::TopologyFamily::star:
-      cfg.size = 6;
+      cfg.fabric.size = 6;
       cfg.max_circuits_per_link = 3;  // exercise residual-slot metrics
       break;
     default:
-      cfg.size = 6;
+      cfg.fabric.size = 6;
       break;
   }
   if (quick) {
@@ -55,7 +55,7 @@ exp::ChurnConfig family_config(exp::TopologyFamily family, bool quick) {
     // horizon.
     cfg.horizon = 8_s;
     cfg.warmup = 2_s;
-    const auto full = exp::default_churn_timeline(family, cfg.size);
+    const auto full = exp::default_churn_timeline(family, cfg.fabric.size);
     for (std::size_t i = 0; i < full.size() && i < 3; ++i) {
       exp::ChurnEvent e = full[i];
       e.at = Duration::seconds(2 * (i + 1));
@@ -63,7 +63,7 @@ exp::ChurnConfig family_config(exp::TopologyFamily family, bool quick) {
     }
   } else {
     cfg.horizon = 30_s;
-    cfg.events = exp::default_churn_timeline(family, cfg.size);
+    cfg.events = exp::default_churn_timeline(family, cfg.fabric.size);
   }
   return cfg;
 }
@@ -71,9 +71,9 @@ exp::ChurnConfig family_config(exp::TopologyFamily family, bool quick) {
 exp::ChurnConfig regions_config(bool quick) {
   using K = exp::ChurnEventKind;
   exp::ChurnConfig cfg;
-  cfg.regions = 4;
-  cfg.region_rows = 2;
-  cfg.region_cols = 3;
+  cfg.fabric.regions = 4;
+  cfg.fabric.region_rows = 2;
+  cfg.fabric.region_cols = 3;
   cfg.n_circuits = 2;
   cfg.n_guaranteed = 1;
   cfg.requested_eer = 0.5;
@@ -98,7 +98,7 @@ exp::ChurnConfig regions_config(bool quick) {
 
 exp::TrialRunner::TrialFn churn(exp::ChurnConfig cfg,
                                 std::size_t shards = 1) {
-  cfg.shards = shards;
+  cfg.fabric.shards = shards;
   return [cfg](const exp::Trial& t) { return exp::churn_trial(cfg, t.seed); };
 }
 

@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
         make(exp::ArrivalKind::poisson, exp::TopologyFamily::grid, 3, 2,
              40.0, 0.0));
     configs.back().cfg.pairs_per_request = 4;
-    configs.back().cfg.slo.latency_budget = 5_s;
+    configs.back().cfg.latency_budget = 5_s;
     configs.back().label = "poisson-grid3-c2-over";
     // Overload with a best-effort mix: deadline-less requests take the
     // shaping deque instead of being policed away.
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
         make(exp::ArrivalKind::poisson, exp::TopologyFamily::grid, 3, 2,
              20.0, 0.3));
     configs.back().cfg.pairs_per_request = 4;
-    configs.back().cfg.slo.latency_budget = 5_s;
+    configs.back().cfg.latency_budget = 5_s;
     configs.back().label = "poisson-grid3-c2-be";
   }
 

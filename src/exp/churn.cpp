@@ -95,17 +95,17 @@ struct ChurnRun {
   double torn_down = 0.0;  ///< flows and crowd circuits gone at the horizon
 };
 
+/// Driver stride: control-plane servicing cadence during traffic.
+constexpr Duration kStride = Duration::ms(250);
+
 /// The one driver behind churn_trial and chaos_trial: build the fabric,
 /// warm up link-state, establish circuits on slots, submit one KEEP
 /// request per flow, walk the event timeline on strides, tear down and
 /// drain.
 ChurnRun run_churn(const ChurnConfig& cfg, std::uint64_t seed) {
-  QNETP_ASSERT(cfg.stride > Duration::zero());
-  QNETP_ASSERT(cfg.establish_slot > Duration::zero());
   QNETP_ASSERT(cfg.n_guaranteed <= cfg.n_circuits);
 
   netsim::NetworkConfig config;
-  config.seed = derive_stream_seed(seed, 0);
   config.admission.max_circuits_per_link = cfg.max_circuits_per_link;
   config.transport = cfg.transport;
   config.faults = cfg.faults;
@@ -113,62 +113,32 @@ ChurnRun run_churn(const ChurnConfig& cfg, std::uint64_t seed) {
   // forked from this seed inside the channel layer.
   config.faults.seed = derive_stream_seed(seed, 1);
 
-  // Build the fabric and the flow endpoint list.
   ChurnRun run;
-  std::vector<std::pair<NodeId, NodeId>> endpoints;
-  if (cfg.regions > 1) {
-    QNETP_ASSERT_MSG(cfg.shards >= 1 && cfg.shards <= cfg.regions,
-                     "shards must fold onto the regions");
-    config.sharding.shards = cfg.shards;
-    run.net = region_grid_spec(cfg.regions, cfg.region_rows, cfg.region_cols)
-                  .build(config);
-    endpoints = region_flow_endpoints(cfg.regions, cfg.region_rows,
-                                      cfg.region_cols, cfg.n_circuits);
-  } else {
-    QNETP_ASSERT_MSG(cfg.shards <= 1, "shards need a multi-region fabric");
-    run.net = family_topology_spec(cfg.family, cfg.size, seed).build(config);
-    endpoints = family_flow_endpoints(cfg.family, cfg.size, cfg.n_circuits);
-  }
+  BuiltFabric built = build_fabric(cfg.fabric, cfg.n_circuits, config, seed);
+  run.net = std::move(built.net);
+  const auto& endpoints = built.endpoints;
   netsim::Network& net = *run.net;
   des::ShardedSimulator& ssim = net.sharded_sim();
 
   // Routers first: admission happens against the routed view, so give
   // the flooding a convergence warm-up before the first circuit.
-  net.enable_linkstate(cfg.linkstate);
+  net.enable_linkstate();
   ssim.run_until(ssim.now() + cfg.warmup);
   net.service_control_plane();
 
-  ctrl::CircuitPlanOptions be_options;
-  if (cfg.short_cutoff) be_options.cutoff_generation_quantile = 0.85;
-  ctrl::CircuitPlanOptions g_options = be_options;
-  g_options.requested_eer = cfg.requested_eer;
-
-  // Establish one flow per slot: every establishment instant is an
-  // absolute simulated time, independent of --jobs and --shards.
-  TimePoint slot = ssim.now();
-  for (std::size_t i = 0; i < endpoints.size(); ++i) {
-    ssim.run_until(slot);
-    slot = slot + cfg.establish_slot;
+  const auto requested_eer = [&cfg](std::size_t i) {
     const bool guaranteed =
         cfg.n_guaranteed > 0 &&
         (i % cfg.n_circuits) >= cfg.n_circuits - cfg.n_guaranteed;
-    const EndpointId head_ep{10 + i};
-    const EndpointId tail_ep{500 + i};
-    const auto plan = net.establish_circuit(
-        endpoints[i].first, endpoints[i].second, head_ep, tail_ep,
-        cfg.fidelity, guaranteed ? g_options : be_options, nullptr,
-        cfg.establish_slot);
-    if (!plan.has_value()) {
-      run.rejected += 1.0;
-      continue;
-    }
-    auto probe = std::make_unique<netsim::DualProbe>(
-        net, endpoints[i].first, head_ep, endpoints[i].second, tail_ep);
-    run.admitted.push_back(Flow{std::move(probe), plan->install.circuit_id,
-                                head_ep, tail_ep, endpoints[i].first,
-                                RequestId{i + 1}});
-  }
-  ssim.run_until(slot);
+    return guaranteed ? cfg.requested_eer : 0.0;
+  };
+  establish_circuits(net, endpoints, requested_eer, [&](const Circuit& c) {
+    auto probe = std::make_unique<netsim::DualProbe>(net, c.head, c.head_ep,
+                                                     c.tail, c.tail_ep);
+    run.admitted.push_back(Flow{std::move(probe), c.id, c.head_ep, c.tail_ep,
+                                c.head, RequestId{c.index + 1}});
+  });
+  run.rejected = static_cast<double>(endpoints.size() - run.admitted.size());
   net.service_control_plane();
 
   const TimePoint traffic_start = ssim.now();
@@ -217,8 +187,8 @@ ChurnRun run_churn(const ChurnConfig& cfg, std::uint64_t seed) {
           const EndpointId tail_ep{4000 + crowd_count};
           ++crowd_count;
           const auto plan = net.establish_circuit(
-              ep.first, ep.second, head_ep, tail_ep, cfg.fidelity,
-              be_options, nullptr, cfg.establish_slot);
+              ep.first, ep.second, head_ep, tail_ep, kCircuitFidelity,
+              circuit_options(), nullptr, kEstablishSlot);
           if (plan.has_value()) {
             run.crowd_admitted += 1.0;
             crowd_circuits.emplace_back(plan->install.circuit_id, ep.first);
@@ -232,7 +202,7 @@ ChurnRun run_churn(const ChurnConfig& cfg, std::uint64_t seed) {
 
   TimePoint reached = traffic_start;
   while (reached < traffic_end) {
-    TimePoint next_stride = reached + cfg.stride;
+    TimePoint next_stride = reached + kStride;
     if (next_stride > traffic_end) next_stride = traffic_end;
     while (next_event < events.size() &&
            traffic_start + events[next_event].at <= next_stride) {

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ctrl/linkstate.hpp"
 #include "exp/scenarios.hpp"
 #include "exp/trial.hpp"
 #include "netmsg/fault.hpp"
@@ -47,8 +46,8 @@ struct ChurnEvent {
 };
 
 struct ChurnConfig {
-  TopologyFamily family = TopologyFamily::grid;
-  std::size_t size = 3;
+  /// A `family` graph, or composed grids when fabric.regions > 1.
+  Fabric fabric;
   /// Flows established before traffic (per region when regions > 1).
   std::size_t n_circuits = 2;
   /// The LAST n_guaranteed of those flows demand `requested_eer`
@@ -57,8 +56,6 @@ struct ChurnConfig {
   std::size_t n_guaranteed = 0;
   double requested_eer = 1.0;
   std::uint64_t pairs_per_request = 4;
-  double fidelity = 0.72;
-  bool short_cutoff = true;
   std::size_t max_circuits_per_link = 0;
 
   /// Channel fault injection (inert by default). The profile's seed is
@@ -69,26 +66,13 @@ struct ChurnConfig {
   /// lose INSTALL/TEARDOWN messages outright).
   netmsg::ReliableConfig transport;
 
-  ctrl::LinkStateConfig linkstate;
   /// Router convergence time before the first admission.
   Duration warmup = Duration::seconds(3);
-  /// Driver stride: control-plane servicing cadence during traffic.
-  Duration stride = Duration::ms(250);
-  /// Establishment slot (one circuit per slot, also the install wait).
-  Duration establish_slot = Duration::ms(100);
   Duration horizon = Duration::seconds(60);
   /// Settle time after the horizon before the leak/quiescence audit.
   Duration drain = Duration::seconds(2);
 
   std::vector<ChurnEvent> events;  ///< applied in `at` order
-
-  /// Multi-region mode (regions > 1): `regions` composed grids of
-  /// region_rows x region_cols replace the single `family` fabric, and
-  /// `shards` worker loops execute them.
-  std::size_t regions = 1;
-  std::size_t region_rows = 2;
-  std::size_t region_cols = 3;
-  std::size_t shards = 1;
 };
 
 /// A small default fault timeline for a single-region family: sever a

@@ -676,63 +676,95 @@ std::vector<std::pair<NodeId, NodeId>> region_flow_endpoints(
   return flows;
 }
 
+ctrl::CircuitPlanOptions circuit_options(double requested_eer) {
+  ctrl::CircuitPlanOptions options;
+  options.cutoff_generation_quantile = 0.85;
+  options.requested_eer = requested_eer;
+  return options;
+}
+
+BuiltFabric build_fabric(const Fabric& fabric, std::size_t n_circuits,
+                         netsim::NetworkConfig config, std::uint64_t seed) {
+  config.seed = derive_stream_seed(seed, 0);
+  BuiltFabric built;
+  if (fabric.regions > 1) {
+    QNETP_ASSERT_MSG(fabric.shards >= 1 && fabric.shards <= fabric.regions,
+                     "shards must fold onto the regions");
+    config.sharding.shards = fabric.shards;
+    built.net = region_grid_spec(fabric.regions, fabric.region_rows,
+                                 fabric.region_cols)
+                    .build(config);
+    built.endpoints =
+        region_flow_endpoints(fabric.regions, fabric.region_rows,
+                              fabric.region_cols, n_circuits);
+  } else {
+    QNETP_ASSERT_MSG(fabric.shards <= 1, "shards need a multi-region fabric");
+    built.net =
+        family_topology_spec(fabric.family, fabric.size, seed).build(config);
+    built.endpoints =
+        family_flow_endpoints(fabric.family, fabric.size, n_circuits);
+  }
+  return built;
+}
+
+TimePoint establish_circuits(
+    netsim::Network& net,
+    const std::vector<std::pair<NodeId, NodeId>>& endpoints,
+    const std::function<double(std::size_t)>& requested_eer,
+    const std::function<void(const Circuit&)>& admitted) {
+  des::ShardedSimulator& ssim = net.sharded_sim();
+  TimePoint slot = ssim.now();
+  for (std::size_t i = 0; i < endpoints.size(); ++i) {
+    ssim.run_until(slot);
+    slot = slot + kEstablishSlot;
+    const auto [head, tail] = endpoints[i];
+    const EndpointId head_ep{10 + i};
+    const EndpointId tail_ep{500 + i};
+    const auto plan = net.establish_circuit(
+        head, tail, head_ep, tail_ep, kCircuitFidelity,
+        circuit_options(requested_eer ? requested_eer(i) : 0.0), nullptr,
+        kEstablishSlot);
+    if (plan.has_value()) {
+      admitted(Circuit{i, plan->install.circuit_id, head, tail, head_ep,
+                       tail_ep});
+    }
+  }
+  ssim.run_until(slot);
+  return slot;
+}
+
 TrialResult multiflow_trial(const MultiflowConfig& cfg, std::uint64_t seed) {
   TrialResult result;
   result.set("ok", 0.0);
 
-  netsim::NetworkConfig config;
-  config.seed = derive_stream_seed(seed, 0);
-  config.admission.max_circuits_per_link = cfg.max_circuits_per_link;
-  auto net =
-      family_topology_spec(cfg.family, cfg.size, seed).build(config);
-
-  ctrl::CircuitPlanOptions options;
-  if (cfg.short_cutoff) options.cutoff_generation_quantile = 0.85;
-  options.requested_eer = cfg.requested_eer;
-
-  const auto flows =
-      family_flow_endpoints(cfg.family, cfg.size, cfg.n_circuits);
+  const BuiltFabric built = build_fabric(
+      Fabric{.family = cfg.family, .size = cfg.size}, cfg.n_circuits, {},
+      seed);
+  netsim::Network& net = *built.net;
   struct Flow {
     std::unique_ptr<netsim::DualProbe> probe;
-    CircuitId circuit;
-    EndpointId head_ep, tail_ep;
-    NodeId head;
-    RequestId request;
+    Circuit circuit;
   };
   std::vector<Flow> admitted;
-  double rejected = 0.0;
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    const EndpointId head_ep{10 + i};
-    const EndpointId tail_ep{200 + i};
-    const auto plan =
-        net->establish_circuit(flows[i].first, flows[i].second, head_ep,
-                               tail_ep, cfg.fidelity, options);
-    if (!plan.has_value()) {
-      rejected += 1.0;
-      continue;
-    }
-    // Probe only after admission: a rejected flow must not leave
-    // endpoint handlers registered for a probe that no longer exists.
-    auto probe = std::make_unique<netsim::DualProbe>(
-        *net, flows[i].first, head_ep, flows[i].second, tail_ep);
-    admitted.push_back(Flow{std::move(probe), plan->install.circuit_id,
-                            head_ep, tail_ep, flows[i].first,
-                            RequestId{i + 1}});
-  }
+  const TimePoint start = establish_circuits(
+      net, built.endpoints, [&cfg](std::size_t) { return cfg.requested_eer; },
+      [&](const Circuit& c) {
+        // Probe only after admission: a rejected flow must not leave
+        // endpoint handlers registered for a probe that no longer exists.
+        admitted.push_back(Flow{std::make_unique<netsim::DualProbe>(
+                                    net, c.head, c.head_ep, c.tail, c.tail_ep),
+                                c});
+      });
 
-  const TimePoint start = net->sharded_sim().now();
   for (const auto& flow : admitted) {
-    qnp::AppRequest req;
-    req.id = flow.request;
-    req.head_endpoint = flow.head_ep;
-    req.tail_endpoint = flow.tail_ep;
-    req.type = netmsg::RequestType::keep;
-    req.num_pairs = cfg.pairs_per_request;
-    net->engine(flow.head).submit_request(flow.circuit, req);
+    const Circuit& c = flow.circuit;
+    net.engine(c.head).submit_request(
+        c.id, keep_request(c.index + 1, cfg.pairs_per_request, c.head_ep,
+                           c.tail_ep));
   }
-  net->sharded_sim().run_until(start + cfg.horizon);
+  net.sharded_sim().run_until(start + cfg.horizon);
   result.set("events",
-             static_cast<double>(net->sharded_sim().events_executed()));
+             static_cast<double>(net.sharded_sim().events_executed()));
 
   double delivered = 0.0;
   double completed = 0.0;
@@ -742,7 +774,8 @@ TrialResult multiflow_trial(const MultiflowConfig& cfg, std::uint64_t seed) {
     delivered += static_cast<double>(flow.probe->pair_count());
     mismatches += static_cast<double>(flow.probe->state_mismatches());
     for (const auto& p : flow.probe->pairs()) fidelity.add(p.fidelity);
-    const auto done = flow.probe->head_completion(flow.request);
+    const auto done =
+        flow.probe->head_completion(RequestId{flow.circuit.index + 1});
     if (done.has_value()) {
       completed += 1.0;
       result.add_sample("flow_latency_s", (*done - start).as_seconds());
@@ -751,7 +784,8 @@ TrialResult multiflow_trial(const MultiflowConfig& cfg, std::uint64_t seed) {
 
   result.set("ok", admitted.empty() ? 0.0 : 1.0);
   result.set("admitted", static_cast<double>(admitted.size()));
-  result.set("rejected", rejected);
+  result.set("rejected",
+             static_cast<double>(built.endpoints.size() - admitted.size()));
   result.set("delivered", delivered);
   result.set("completed", completed);
   result.set("mean_fidelity", fidelity.count() > 0 ? fidelity.mean() : 0.0);

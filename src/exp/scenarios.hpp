@@ -10,6 +10,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -188,18 +190,74 @@ netsim::TopologySpec region_grid_spec(std::size_t regions, std::size_t rows,
     std::size_t regions, std::size_t rows, std::size_t cols,
     std::size_t per_region);
 
+/// The shape of a multi-flow fabric: a TopologyFamily graph of `size`,
+/// or with regions > 1 `regions` composed region_rows x region_cols
+/// grids (region_grid_spec) executed on `shards` worker loops.
+struct Fabric {
+  TopologyFamily family = TopologyFamily::grid;
+  std::size_t size = 3;
+  std::size_t regions = 1;
+  std::size_t region_rows = 2;
+  std::size_t region_cols = 3;
+  /// Worker event loops; must be <= regions (1 on a single region).
+  std::size_t shards = 1;
+};
+
+/// End-to-end fidelity every multi-flow circuit is planned for.
+inline constexpr double kCircuitFidelity = 0.72;
+/// The establishment grid: one circuit per slot, the slot also bounding
+/// its install wait, so every establishment instant is an absolute time
+/// independent of --jobs and --shards.
+inline constexpr Duration kEstablishSlot = Duration::ms(100);
+
+/// The multi-flow drivers' circuit plan: the short cutoff (the 0.85
+/// generation-time quantile) and `requested_eer` guaranteed (0 = best
+/// effort).
+[[nodiscard]] ctrl::CircuitPlanOptions circuit_options(
+    double requested_eer = 0.0);
+
+/// A built fabric and the (head, tail) pairs its circuits run between.
+struct BuiltFabric {
+  std::unique_ptr<netsim::Network> net;
+  std::vector<std::pair<NodeId, NodeId>> endpoints;
+};
+
+/// Builds `fabric` from `config` with the network seed derived from
+/// `seed` (which also draws a Waxman graph), plus `n_circuits` flow
+/// endpoints: family_flow_endpoints, or region_flow_endpoints with
+/// `n_circuits` per region when regions > 1.
+[[nodiscard]] BuiltFabric build_fabric(const Fabric& fabric,
+                                       std::size_t n_circuits,
+                                       netsim::NetworkConfig config,
+                                       std::uint64_t seed);
+
+/// One circuit establish_circuits admitted.
+struct Circuit {
+  std::size_t index = 0;  ///< position in the endpoint list
+  CircuitId id;
+  NodeId head, tail;
+  EndpointId head_ep, tail_ep;  ///< 10 + index, 500 + index
+};
+
+/// Establishes one circuit per endpoint pair on the kEstablishSlot grid,
+/// starting now, each planned with circuit_options(requested_eer(index))
+/// (best effort when `requested_eer` is empty). Reports every admitted
+/// circuit to `admitted`, in endpoint order, runs the fabric to the end
+/// of the last slot and returns that instant.
+TimePoint establish_circuits(
+    netsim::Network& net,
+    const std::vector<std::pair<NodeId, NodeId>>& endpoints,
+    const std::function<double(std::size_t)>& requested_eer,
+    const std::function<void(const Circuit&)>& admitted);
+
 struct MultiflowConfig {
   TopologyFamily family = TopologyFamily::grid;
   std::size_t size = 3;
   std::size_t n_circuits = 2;
   std::uint64_t pairs_per_request = 4;
-  double fidelity = 0.72;
-  bool short_cutoff = true;
   /// Per-circuit guaranteed EER demand (0 = best effort, never rejected
   /// by rate admission).
   double requested_eer = 0.0;
-  /// Per-link concurrent-circuit cap (0 = unlimited).
-  std::size_t max_circuits_per_link = 0;
   Duration horizon = Duration::seconds(300);
 };
 /// scalars: ok, admitted, rejected, delivered, completed, mean_fidelity,

@@ -68,9 +68,6 @@ TrialResult shard_scaling_trial(const ShardScalingConfig& cfg,
   result.set("nodes", static_cast<double>(spec.node_count()));
   result.set("regions", static_cast<double>(cfg.regions));
 
-  ctrl::CircuitPlanOptions options;
-  if (cfg.short_cutoff) options.cutoff_generation_quantile = 0.85;
-
   // Establish circuits on a fixed slot grid: one circuit per slot, the
   // slot also bounding the install wait, so every establishment instant
   // is an absolute time independent of the shard count.
@@ -86,8 +83,8 @@ TrialResult shard_scaling_trial(const ShardScalingConfig& cfg,
     const EndpointId head_ep{1000 + candidate};
     const EndpointId tail_ep{5000 + candidate};
     const auto plan =
-        net->establish_circuit(head, tail, head_ep, tail_ep, cfg.fidelity,
-                               options, nullptr, cfg.establish_slot);
+        net->establish_circuit(head, tail, head_ep, tail_ep, kCircuitFidelity,
+                               circuit_options(), nullptr, cfg.establish_slot);
     if (!plan.has_value()) continue;
 
     FlowRt& f = flows.emplace_back();

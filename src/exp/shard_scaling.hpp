@@ -35,8 +35,6 @@ struct ShardScalingConfig {
   std::size_t shards = 1;
 
   std::uint64_t pairs_per_request = 2;
-  double fidelity = 0.72;
-  bool short_cutoff = true;
   /// Per-flow open-loop request arrivals (independent stream per flow).
   ArrivalConfig arrivals{ArrivalKind::poisson, 4.0};
   /// Request keep-window and deadline (policed under overload).

@@ -141,10 +141,8 @@ constexpr std::size_t kLatencyReservoir = 512;
 /// live map tracks only in-flight requests.
 struct PendingRequest {
   TimePoint submitted;
-  bool slo = false;       ///< carries the latency/fidelity SLO
+  bool slo = false;       ///< carries the latency SLO
   bool eligible = false;  ///< budget expires within the horizon
-  double fidelity_sum = 0.0;
-  std::uint64_t fidelity_n = 0;
 };
 
 struct OccupancyWindow {
@@ -166,7 +164,7 @@ TrialResult traffic_trial(const TrafficConfig& cfg, std::uint64_t seed) {
   TrialResult result;
   result.set("ok", 0.0);
   QNETP_ASSERT(cfg.pairs_per_request > 0);
-  QNETP_ASSERT(cfg.slo.latency_budget > Duration::zero());
+  QNETP_ASSERT(cfg.latency_budget > Duration::zero());
   QNETP_ASSERT(cfg.best_effort_fraction >= 0.0 &&
                cfg.best_effort_fraction <= 1.0);
 
@@ -179,9 +177,6 @@ TrialResult traffic_trial(const TrafficConfig& cfg, std::uint64_t seed) {
   ArrivalProcess arrivals(cfg.arrivals, derive_stream_seed(seed, 1));
   Rng classify_rng(derive_stream_seed(seed, 2));
   ReservoirSampler latency_res(kLatencyReservoir, derive_stream_seed(seed, 3));
-
-  ctrl::CircuitPlanOptions options;
-  if (cfg.short_cutoff) options.cutoff_generation_quantile = 0.85;
 
   // Establish the concurrent circuits the stream round-robins over.
   struct Flow {
@@ -203,36 +198,24 @@ TrialResult traffic_trial(const TrafficConfig& cfg, std::uint64_t seed) {
     const EndpointId tail_ep{200 + i};
     const auto plan = net->establish_circuit(
         endpoints[i].first, endpoints[i].second, head_ep, tail_ep,
-        cfg.fidelity, options);
+        kCircuitFidelity, circuit_options());
     if (!plan.has_value()) continue;
     const std::size_t flow_idx = flows.size();
     flows.push_back(Flow{plan->install.circuit_id, endpoints[i].first,
                          endpoints[i].second, head_ep, tail_ep});
 
-    // Head-end handlers: per-request latency/fidelity accounting. Pairs
-    // are consumed (released) immediately — the application is a sink.
+    // Head-end handlers: per-request latency accounting. Pairs are
+    // consumed (released) immediately — the application is a sink.
     qnp::QnpEngine& head_engine = net->engine(endpoints[i].first);
     des::Simulator* head_sim = &net->node_sim(endpoints[i].first);
     qnp::EndpointHandlers head;
-    head.on_pair = [&, head_sim, flow_idx](const qnp::PairDelivery& d) {
+    head.on_pair = [&, flow_idx](const qnp::PairDelivery& d) {
       if (d.tracking_pending) return;  // EARLY: wait for tracking
-      const auto it = pending.find(d.request);
-      if (it != pending.end() && d.pair != nullptr) {
-        it->second.fidelity_sum +=
-            d.pair->oracle_fidelity(d.state, head_sim->now());
-        ++it->second.fidelity_n;
-      }
       if (d.qubit.valid()) {
         net->engine(flows[flow_idx].head).release_app_qubit(d.qubit);
       }
     };
-    head.on_tracking = [&, head_sim, flow_idx](const qnp::PairDelivery& d) {
-      const auto it = pending.find(d.request);
-      if (it != pending.end() && d.pair != nullptr) {
-        it->second.fidelity_sum +=
-            d.pair->oracle_fidelity(d.state, head_sim->now());
-        ++it->second.fidelity_n;
-      }
+    head.on_tracking = [&, flow_idx](const qnp::PairDelivery& d) {
       if (d.qubit.valid()) {
         net->engine(flows[flow_idx].head).release_app_qubit(d.qubit);
       }
@@ -249,16 +232,9 @@ TrialResult traffic_trial(const TrafficConfig& cfg, std::uint64_t seed) {
       completed += 1.0;
       latency_s.add(lat);
       latency_res.add(lat);
-      if (it->second.slo && it->second.eligible) {
-        const bool in_budget =
-            lat <= cfg.slo.latency_budget.as_seconds();
-        const bool fidelity_ok =
-            cfg.slo.fidelity_floor <= 0.0 ||
-            (it->second.fidelity_n > 0 &&
-             it->second.fidelity_sum /
-                     static_cast<double>(it->second.fidelity_n) >=
-                 cfg.slo.fidelity_floor);
-        if (in_budget && fidelity_ok) slo_met += 1.0;
+      if (it->second.slo && it->second.eligible &&
+          lat <= cfg.latency_budget.as_seconds()) {
+        slo_met += 1.0;
       }
       pending.erase(it);
     };
@@ -332,19 +308,15 @@ TrialResult traffic_trial(const TrafficConfig& cfg, std::uint64_t seed) {
     const Flow& flow = flows[next_flow];
     next_flow = (next_flow + 1) % flows.size();
     if (!flow.down) {
-      qnp::AppRequest req;
-      req.id = RequestId{next_id++};
-      req.head_endpoint = flow.head_ep;
-      req.tail_endpoint = flow.tail_ep;
-      req.type = netmsg::RequestType::keep;
-      req.num_pairs = cfg.pairs_per_request;
+      qnp::AppRequest req = keep_request(next_id++, cfg.pairs_per_request,
+                                         flow.head_ep, flow.tail_ep);
       // The SLO budget doubles as the keep-window (so min_eer() > 0 and
       // the request books circuit rate). SLO requests also carry it as
       // the deadline, which makes overload REJECT them (policing);
       // best-effort requests omit the deadline, so overload queues them
       // in the shaping deque instead.
-      req.delta_t = cfg.slo.latency_budget;
-      if (!best_effort) req.deadline = cfg.slo.latency_budget;
+      req.delta_t = cfg.latency_budget;
+      if (!best_effort) req.deadline = cfg.latency_budget;
 
       qnp::QnpEngine& engine = net->engine(flow.head);
       const std::uint64_t shaped_before = engine.counters().requests_shaped;
@@ -360,7 +332,7 @@ TrialResult traffic_trial(const TrafficConfig& cfg, std::uint64_t seed) {
         PendingRequest p;
         p.submitted = at;
         p.slo = !best_effort;
-        p.eligible = !best_effort && at + cfg.slo.latency_budget <= end;
+        p.eligible = !best_effort && at + cfg.latency_budget <= end;
         if (p.eligible) slo_eligible += 1.0;
         pending[req.id] = p;
       }

@@ -4,9 +4,9 @@
 // networks see request *streams*. traffic_trial drives any TopologyFamily
 // fabric with seeded open-loop arrivals (Poisson, 2-state MMPP bursts, or
 // a diurnal raised-cosine ramp), submits each arrival as an AppRequest
-// carrying its SLO (fidelity floor + latency budget, expressed to the
-// engine as deadline/delta_t so QNP policing rejects what cannot be
-// served in time), and records accept/shape/reject, SLO attainment, tail
+// carrying its SLO (a latency budget, expressed to the engine as
+// deadline/delta_t so QNP policing rejects what cannot be served in
+// time), and records accept/shape/reject, SLO attainment, tail
 // latency (exact per-trial p50/p99/p99.9 plus a reservoir-capped sample
 // export, at most 512 samples per trial) and engine flow-table occupancy
 // over the horizon, in 16 fixed windows. Everything is
@@ -90,28 +90,20 @@ class ArrivalProcess {
 // ---------------------------------------------------------------------------
 // Traffic workload over a TopologyFamily fabric.
 // ---------------------------------------------------------------------------
-struct TrafficSlo {
-  /// Minimum acceptable mean (oracle) fidelity per request; 0 = no floor.
-  double fidelity_floor = 0.0;
-  /// End-to-end completion budget. Submitted to the engine as the
-  /// request deadline AND keep-window, so min_eer() > 0 and policing
-  /// (not shaping) applies: overload rejects instead of queueing.
-  Duration latency_budget = Duration::seconds(30);
-};
-
 struct TrafficConfig {
   TopologyFamily family = TopologyFamily::grid;
   std::size_t size = 3;
   std::size_t n_circuits = 2;
   ArrivalConfig arrivals;
-  TrafficSlo slo;
+  /// The SLO: end-to-end completion budget. Submitted to the engine as
+  /// the request deadline AND keep-window, so min_eer() > 0 and policing
+  /// (not shaping) applies: overload rejects instead of queueing.
+  Duration latency_budget = Duration::seconds(30);
   /// Fraction of arrivals submitted best-effort: same keep-window but no
   /// deadline, so under overload they queue in the shaping deque instead
   /// of being policed away, and they carry no SLO.
   double best_effort_fraction = 0.0;
   std::uint64_t pairs_per_request = 2;
-  double fidelity = 0.72;  ///< end-to-end circuit fidelity target
-  bool short_cutoff = true;
   Duration horizon = Duration::seconds(300);
   /// Occupancy windows starting before this offset are excluded from the
   /// steady-state/peak statistics (circuit setup transient).

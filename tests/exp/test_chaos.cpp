@@ -15,8 +15,8 @@ using namespace qnetp::literals;
 
 ChurnConfig tiny_config() {
   ChurnConfig cfg = chaos_config();
-  cfg.family = TopologyFamily::grid;
-  cfg.size = 3;
+  cfg.fabric.family = TopologyFamily::grid;
+  cfg.fabric.size = 3;
   cfg.n_circuits = 2;
   cfg.pairs_per_request = 2;
   cfg.warmup = 2_s;
@@ -69,14 +69,14 @@ TEST(ChaosTrial, DeterministicForAFixedSeed) {
 
 TEST(ChaosTrial, DigestInvariantAcrossShardCounts) {
   ChurnConfig cfg = tiny_config();
-  cfg.regions = 4;
-  cfg.region_rows = 2;
-  cfg.region_cols = 2;
+  cfg.fabric.regions = 4;
+  cfg.fabric.region_rows = 2;
+  cfg.fabric.region_cols = 2;
   cfg.n_circuits = 1;
   std::uint64_t baseline = 0;
   for (const std::size_t shards : {1u, 2u, 4u}) {
     ChurnConfig run_cfg = cfg;
-    run_cfg.shards = shards;
+    run_cfg.fabric.shards = shards;
     SummaryAccumulator acc;
     acc.add(chaos_trial(run_cfg, 7));
     if (shards == 1) {

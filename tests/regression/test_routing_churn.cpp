@@ -37,13 +37,13 @@ DigestGolden* const kGolden =
 /// a horizon that still covers sever + degrade + heal.
 ChurnConfig grid_config() {
   ChurnConfig cfg;
-  cfg.family = TopologyFamily::grid;
-  cfg.size = 3;
+  cfg.fabric.family = TopologyFamily::grid;
+  cfg.fabric.size = 3;
   cfg.n_circuits = 3;
   cfg.n_guaranteed = 1;
   cfg.requested_eer = 0.5;
   cfg.horizon = 16_s;
-  cfg.events = default_churn_timeline(cfg.family, cfg.size);
+  cfg.events = default_churn_timeline(cfg.fabric.family, cfg.fabric.size);
   return cfg;
 }
 
@@ -51,9 +51,9 @@ ChurnConfig grid_config() {
 /// and a flash crowd inside a short horizon.
 ChurnConfig regions_config() {
   ChurnConfig cfg;
-  cfg.regions = 4;
-  cfg.region_rows = 2;
-  cfg.region_cols = 3;
+  cfg.fabric.regions = 4;
+  cfg.fabric.region_rows = 2;
+  cfg.fabric.region_cols = 3;
   cfg.n_circuits = 2;
   cfg.n_guaranteed = 1;
   cfg.requested_eer = 0.5;
@@ -90,8 +90,8 @@ TEST(RoutingChurnRegression, DigestMatchesGolden) {
 /// test_chaos's tiny grid under the chaos fault profile.
 ChurnConfig chaos_grid_config() {
   ChurnConfig cfg = chaos_config();
-  cfg.family = TopologyFamily::grid;
-  cfg.size = 3;
+  cfg.fabric.family = TopologyFamily::grid;
+  cfg.fabric.size = 3;
   cfg.n_circuits = 2;
   cfg.pairs_per_request = 2;
   cfg.warmup = 2_s;
@@ -103,9 +103,9 @@ ChurnConfig chaos_grid_config() {
 TEST(RoutingChurnRegression, ChaosDigestMatchesGolden) {
   // test_chaos's 4-region fabric of 2x2 grids, one circuit per region.
   ChurnConfig regions = chaos_grid_config();
-  regions.regions = 4;
-  regions.region_rows = 2;
-  regions.region_cols = 2;
+  regions.fabric.regions = 4;
+  regions.fabric.region_rows = 2;
+  regions.fabric.region_cols = 2;
   regions.n_circuits = 1;
   // The tiny grid with link 1-2 silently partitioned at 2 s.
   ChurnConfig partition = chaos_grid_config();
@@ -162,7 +162,7 @@ TEST(RoutingChurnRegression, AggregatesBitIdenticalAcrossShardCounts) {
   ChurnConfig cfg = regions_config();
   std::uint64_t reference = 0;
   for (const std::size_t shards : {1u, 2u, 4u}) {
-    cfg.shards = shards;
+    cfg.fabric.shards = shards;
     const auto acc = SummaryAccumulator::aggregate(
         TrialRunner({1, 0x5AAD}).run(trials, [&](const Trial& t) {
           return churn_trial(cfg, t.seed);
