@@ -1,5 +1,5 @@
-// Sharded-DES scaling bench: one 100+ node multi-region fabric with 50+
-// concurrent circuits (exp::shard_scaling_trial), executed at several
+// Sharded-DES scaling bench: exp::traffic_trial on one 100+ node
+// multi-region fabric with 50+ concurrent circuits, executed at several
 // shard counts with two hard gates:
 //   1. the aggregate digest (every scalar + sample) is bit-identical at
 //      every shard count — conservative windows, canonical mailbox
@@ -17,7 +17,7 @@
 //        --quick (small fabric, short horizon), --csv,
 //        --out=PATH (default BENCH_shard.json).
 #include "bench/gate.hpp"
-#include "exp/shard_scaling.hpp"
+#include "exp/traffic.hpp"
 
 using namespace qnetp;
 using namespace qnetp::literals;
@@ -25,35 +25,41 @@ using namespace qnetp::bench;
 
 int main(int argc, char** argv) {
   const BenchArgs args = BenchArgs::parse(argc, argv, "BENCH_shard.json");
-  exp::ShardScalingConfig cfg;  // 4 x (3x9) = 108 nodes, 52 circuits
-  if (args.quick) {
-    cfg.region_rows = 2;
-    cfg.region_cols = 3;
-    cfg.circuits_per_region = 2;
-    cfg.horizon = 1_s;
-    cfg.occupancy_samples = 4;
-  }
-  const auto shards_sweep = sweep_values({1, 2, 4}, args.shards, cfg.regions);
+  // 4 x (3x9) = 108 nodes, 13 circuits per region: Poisson 4/s each,
+  // 2 s budget, 5 s horizon.
+  exp::TrafficConfig cfg;
+  cfg.fabric.regions = 4;
+  cfg.fabric.region_rows = args.quick ? 2 : 3;
+  cfg.fabric.region_cols = args.quick ? 3 : 9;
+  cfg.n_circuits = args.quick ? 2 : 13;
+  cfg.arrivals.rate = 4.0;
+  cfg.latency_budget = 2_s;
+  cfg.horizon = args.quick ? 1_s : 5_s;
+  cfg.warmup = 0_s;
+  const auto shards_sweep =
+      sweep_values({1, 2, 4}, args.shards, cfg.fabric.regions);
   GateBench bench("shard_scaling", args, args.quick ? 1 : 2, 7300,
                   "4 x (2x3) = 24 nodes, 8 circuits, 1 s horizon "
                   "(full: 4 x (3x9) = 108 nodes, 52 circuits, 5 s)",
                   {"ok", "consistency_ok"});
   for (const std::size_t shards : shards_sweep) {
-    exp::ShardScalingConfig run_cfg = cfg;
-    run_cfg.shards = shards;
+    exp::TrafficConfig run_cfg = cfg;
+    run_cfg.fabric.shards = shards;
     bench.run("regions4", 1, shards, [run_cfg](const exp::Trial& t) {
-      return exp::shard_scaling_trial(run_cfg, t.seed);
+      return exp::traffic_trial(run_cfg, t.seed);
     });
   }
-  // The trial never echoes cfg.shards into its result, so the plain
-  // digest covers every metric and must match across the sweep.
+  // The trial never echoes the shard count into its result, so the
+  // plain digest covers every metric and must match across the sweep.
   bench.gate("digests_bit_identical", bench.digests_agree("regions4"),
              "aggregates bit-identical across shard counts");
   bench.gate("engines_consistent", bench.all_clean(),
              "every trial ok with consistent engines");
   const SweepPoint& serial = bench.points().front();
-  bench.info("nodes", serial.mean("nodes"));
-  bench.info("regions", static_cast<double>(cfg.regions));
+  bench.info("nodes", static_cast<double>(cfg.fabric.regions *
+                                          cfg.fabric.region_rows *
+                                          cfg.fabric.region_cols));
+  bench.info("regions", static_cast<double>(cfg.fabric.regions));
   bench.info("circuits", serial.mean("admitted"));
   bench.info("horizon_s", cfg.horizon.as_seconds());
   return bench.finish(

@@ -50,15 +50,17 @@ int main(int argc, char** argv) {
                   std::size_t size, std::size_t circuits, double rate_scale,
                   double best_effort) {
     Config c;
-    c.cfg.family = family;
-    c.cfg.size = size;
+    c.cfg.fabric.family = family;
+    c.cfg.fabric.size = size;
     c.cfg.n_circuits = circuits;
+    // The config's offered load, split evenly over its circuits.
+    const double per_circuit = rate_scale / static_cast<double>(circuits);
     c.cfg.arrivals.kind = kind;
-    c.cfg.arrivals.rate = 1.0 * rate_scale;
-    c.cfg.arrivals.burst_rate = 4.0 * rate_scale;
-    c.cfg.arrivals.idle_rate = 0.25 * rate_scale;
-    c.cfg.arrivals.peak_rate = 2.0 * rate_scale;
-    c.cfg.arrivals.trough_rate = 0.25 * rate_scale;
+    c.cfg.arrivals.rate = per_circuit;
+    c.cfg.arrivals.burst_rate = 4.0 * per_circuit;
+    c.cfg.arrivals.idle_rate = 0.25 * per_circuit;
+    c.cfg.arrivals.peak_rate = 2.0 * per_circuit;
+    c.cfg.arrivals.trough_rate = 0.25 * per_circuit;
     c.cfg.best_effort_fraction = best_effort;
     c.cfg.horizon = horizon;
     c.cfg.warmup = args.quick ? 15_s : 30_s;

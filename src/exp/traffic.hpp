@@ -1,17 +1,20 @@
 // exp::traffic_trial — open-loop arrival workloads with per-request SLOs.
 //
 // The multiflow scenarios issue a fixed batch of requests and wait; real
-// networks see request *streams*. traffic_trial drives any TopologyFamily
-// fabric with seeded open-loop arrivals (Poisson, 2-state MMPP bursts, or
-// a diurnal raised-cosine ramp), submits each arrival as an AppRequest
+// networks see request *streams*. traffic_trial drives any exp::Fabric (a
+// TopologyFamily graph, or composed region grids on several shards) with
+// seeded open-loop arrivals (Poisson, 2-state MMPP bursts, or a diurnal
+// raised-cosine ramp), one independent stream per circuit pumped on its
+// head node's event loop. Each arrival is submitted as an AppRequest
 // carrying its SLO (a latency budget, expressed to the engine as
 // deadline/delta_t so QNP policing rejects what cannot be served in
-// time), and records accept/shape/reject, SLO attainment, tail
+// time). The trial records accept/shape/reject, SLO attainment, tail
 // latency (exact per-trial p50/p99/p99.9 plus a reservoir-capped sample
-// export, at most 512 samples per trial) and engine flow-table occupancy
-// over the horizon, in 16 fixed windows. Everything is
-// seeded via derive_stream_seed, so aggregates are bit-identical at any
-// --jobs value.
+// export, at most 512 samples per trial) and fabric-wide flow-table
+// occupancy at 16 fixed strides of the horizon, read from the driver
+// between conservative windows. Everything is seeded via
+// derive_stream_seed and merged in circuit order, so aggregates are
+// bit-identical at any --jobs and --shards value.
 #pragma once
 
 #include <cstdint>
@@ -88,12 +91,14 @@ class ArrivalProcess {
 };
 
 // ---------------------------------------------------------------------------
-// Traffic workload over a TopologyFamily fabric.
+// Traffic workload over any fabric.
 // ---------------------------------------------------------------------------
 struct TrafficConfig {
-  TopologyFamily family = TopologyFamily::grid;
-  std::size_t size = 3;
+  /// A `family` graph, or composed grids when fabric.regions > 1.
+  Fabric fabric;
+  /// Concurrent circuits (per region when regions > 1).
   std::size_t n_circuits = 2;
+  /// Each circuit's arrival stream; rates are per circuit.
   ArrivalConfig arrivals;
   /// The SLO: end-to-end completion budget. Submitted to the engine as
   /// the request deadline AND keep-window, so min_eer() > 0 and policing
@@ -105,20 +110,25 @@ struct TrafficConfig {
   double best_effort_fraction = 0.0;
   std::uint64_t pairs_per_request = 2;
   Duration horizon = Duration::seconds(300);
-  /// Occupancy windows starting before this offset are excluded from the
+  /// Occupancy samples taken before this offset are excluded from the
   /// steady-state/peak statistics (circuit setup transient).
   Duration warmup = Duration::seconds(30);
 };
 
-/// Runs one seeded open-loop traffic trial.
+/// Runs one seeded open-loop traffic trial: arrivals over the horizon,
+/// then a drain of latency_budget + 1 s. An arrival at a circuit that
+/// went down counts as rejected, so offered = accepted + shaped +
+/// rejected.
 ///
 /// scalars: ok, admitted, offered, accepted, shaped, rejected,
 /// completed, slo_met, slo_eligible, slo_attainment, latency_p50_s,
 /// latency_p99_s, latency_p999_s (when any request completed),
 /// occ_steady, occ_peak, occ_early, occ_late, occ_expired_wholesale,
-/// occ_flat, consistency_ok, events. samples: occ_win_mean (post-warmup
-/// per-window mean occupancy, in window order), latency_res_s
-/// (reservoir-capped completed-request latencies).
-[[nodiscard]] TrialResult traffic_trial(const TrafficConfig& cfg, std::uint64_t seed);
+/// occ_flat, consistency_ok, events. samples: occ_live (post-warmup
+/// fabric occupancy per stride), latency_res_s (reservoir-capped
+/// completed-request latencies). Nothing echoes fabric.shards, so every
+/// metric is part of the cross-shard-count digest.
+[[nodiscard]] TrialResult traffic_trial(const TrafficConfig& cfg,
+                                        std::uint64_t seed);
 
 }  // namespace qnetp::exp

@@ -1,28 +1,29 @@
-// shard_scaling scenario: digest invariance across shard counts on a
-// small multi-region fabric, plus structural checks on its
-// region_grid_spec fabric and region_flow_endpoints layout.
-#include "exp/shard_scaling.hpp"
-
+// traffic_trial on the multi-region fabric (what bench/shard_scaling
+// runs): digest invariance across shard counts on a small fabric, plus
+// structural checks on its region_grid_spec fabric and
+// region_flow_endpoints layout.
 #include <gtest/gtest.h>
 
 #include "exp/summary.hpp"
+#include "exp/traffic.hpp"
 
 namespace qnetp::exp {
 namespace {
 
 using namespace qnetp::literals;
 
-ShardScalingConfig tiny_config() {
-  ShardScalingConfig cfg;
-  cfg.regions = 4;
-  cfg.region_rows = 2;
-  cfg.region_cols = 2;
-  cfg.circuits_per_region = 1;
+/// Four composed 2x2 grid regions, one circuit each.
+TrafficConfig tiny_config() {
+  TrafficConfig cfg;
+  cfg.fabric.regions = 4;
+  cfg.fabric.region_rows = 2;
+  cfg.fabric.region_cols = 2;
+  cfg.n_circuits = 1;
   cfg.pairs_per_request = 1;
   cfg.arrivals.rate = 3.0;
   cfg.latency_budget = 1_s;
   cfg.horizon = 1_s;
-  cfg.occupancy_samples = 2;
+  cfg.warmup = 0_s;
   return cfg;
 }
 
@@ -50,22 +51,15 @@ TEST(ShardScaling, RegionFlowEndpointsStayInTheirRegion) {
   }
 }
 
-TEST(ShardScaling, DefaultConfigMeetsTheBenchFloor) {
-  const ShardScalingConfig cfg;
-  const auto spec =
-      region_grid_spec(cfg.regions, cfg.region_rows, cfg.region_cols);
-  EXPECT_GE(spec.node_count(), 100u);
-  EXPECT_GE(cfg.regions * cfg.circuits_per_region, 50u);
-}
-
 TEST(ShardScaling, TrialRunsAndAccounts) {
-  const auto r = shard_scaling_trial(tiny_config(), 41);
+  const auto r = traffic_trial(tiny_config(), 41);
   EXPECT_EQ(r.scalars.at("ok"), 1.0);
   EXPECT_EQ(r.scalars.at("admitted"), 4.0);
   EXPECT_EQ(r.scalars.at("consistency_ok"), 1.0);
   EXPECT_GT(r.scalars.at("offered"), 0.0);
   EXPECT_GT(r.scalars.at("completed"), 0.0);
-  EXPECT_GT(r.scalars.at("classical_msgs"), 0.0);
+  // With warmup 0 every one of the 16 occupancy strides is sampled.
+  EXPECT_EQ(r.samples.at("occ_live").size(), 16u);
   // offered arrivals all classified exactly once
   EXPECT_EQ(r.scalars.at("offered"), r.scalars.at("accepted") +
                                          r.scalars.at("shaped") +
@@ -76,11 +70,11 @@ TEST(ShardScaling, DigestInvariantAcrossShardCounts) {
   const auto cfg = tiny_config();
   std::uint64_t baseline = 0;
   for (const std::size_t shards : {1u, 2u, 4u}) {
-    ShardScalingConfig run_cfg = cfg;
-    run_cfg.shards = shards;
+    TrafficConfig run_cfg = cfg;
+    run_cfg.fabric.shards = shards;
     SummaryAccumulator acc;
-    acc.add(shard_scaling_trial(run_cfg, 41));
-    acc.add(shard_scaling_trial(run_cfg, 42));
+    acc.add(traffic_trial(run_cfg, 41));
+    acc.add(traffic_trial(run_cfg, 42));
     if (shards == 1) {
       baseline = acc.digest();
     } else {

@@ -38,13 +38,15 @@ SummaryAccumulator traffic_accumulator() {
   return acc;
 }
 
+// Arrival rates are per circuit: each config offers 2/s (Poisson) or
+// 8/s bursts and 0.5/s idle (MMPP) over its two circuits.
 TrafficConfig poisson_config() {
   TrafficConfig cfg;
-  cfg.family = TopologyFamily::grid;
-  cfg.size = 3;
+  cfg.fabric.family = TopologyFamily::grid;
+  cfg.fabric.size = 3;
   cfg.n_circuits = 2;
   cfg.arrivals.kind = ArrivalKind::poisson;
-  cfg.arrivals.rate = 2.0;
+  cfg.arrivals.rate = 1.0;
   cfg.horizon = Duration::seconds(60);
   cfg.warmup = Duration::seconds(10);
   return cfg;
@@ -52,12 +54,30 @@ TrafficConfig poisson_config() {
 
 TrafficConfig mmpp_config() {
   TrafficConfig cfg;
-  cfg.family = TopologyFamily::ring;
-  cfg.size = 8;
+  cfg.fabric.family = TopologyFamily::ring;
+  cfg.fabric.size = 8;
   cfg.n_circuits = 2;
   cfg.arrivals.kind = ArrivalKind::mmpp;
+  cfg.arrivals.burst_rate = 4.0;
+  cfg.arrivals.idle_rate = 0.25;
   cfg.horizon = Duration::seconds(60);
   cfg.warmup = Duration::seconds(10);
+  return cfg;
+}
+
+/// Four composed 2x2 grid regions, one circuit each (the sharded
+/// fabric).
+TrafficConfig regions_config() {
+  TrafficConfig cfg;
+  cfg.fabric.regions = 4;
+  cfg.fabric.region_rows = 2;
+  cfg.fabric.region_cols = 2;
+  cfg.n_circuits = 1;
+  cfg.pairs_per_request = 1;
+  cfg.arrivals.rate = 3.0;
+  cfg.latency_budget = Duration::seconds(1);
+  cfg.horizon = Duration::seconds(1);
+  cfg.warmup = Duration::zero();
   return cfg;
 }
 
@@ -66,6 +86,7 @@ TEST(TrafficRegression, DigestMatchesGolden) {
   const std::map<std::string, TrafficConfig> configs = {
       {"traffic.poisson_grid3.digest", poisson_config()},
       {"traffic.mmpp_ring8.digest", mmpp_config()},
+      {"traffic.regions4.digest", regions_config()},
   };
   for (const auto& [name, cfg] : configs) {
     auto acc = traffic_accumulator();
