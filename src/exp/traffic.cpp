@@ -159,6 +159,7 @@ struct Flow {
   ArrivalProcess arrivals;
   Rng classify;  ///< best-effort or SLO, per arrival
   bool down = false;
+  /// Starts at (index + 1) * 10^6, so request ids differ across circuits.
   std::uint64_t next_request = 0;
   std::map<RequestId, PendingRequest> pending{};
   double offered = 0.0, accepted = 0.0, shaped = 0.0, rejected = 0.0;
