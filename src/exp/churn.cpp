@@ -95,7 +95,7 @@ struct ChurnRun {
   double torn_down = 0.0;  ///< flows and crowd circuits gone at the horizon
 };
 
-/// Driver stride: control-plane servicing cadence during traffic.
+/// Control-plane servicing cadence during traffic.
 constexpr Duration kStride = Duration::ms(250);
 
 /// The one driver behind churn_trial and chaos_trial: build the fabric,

@@ -210,7 +210,7 @@ inline constexpr double kCircuitFidelity = 0.72;
 /// independent of --jobs and --shards.
 inline constexpr Duration kEstablishSlot = Duration::ms(100);
 
-/// The multi-flow drivers' circuit plan: the short cutoff (the 0.85
+/// The multi-flow trials' circuit plan: the short cutoff (the 0.85
 /// generation-time quantile) and `requested_eer` guaranteed (0 = best
 /// effort).
 [[nodiscard]] ctrl::CircuitPlanOptions circuit_options(

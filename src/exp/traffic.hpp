@@ -11,10 +11,10 @@
 // time). The trial records accept/shape/reject, SLO attainment, tail
 // latency (exact per-trial p50/p99/p99.9 plus a reservoir-capped sample
 // export, at most 512 samples per trial) and fabric-wide flow-table
-// occupancy at 16 fixed strides of the horizon, read from the driver
-// between conservative windows. Everything is seeded via
-// derive_stream_seed and merged in circuit order, so aggregates are
-// bit-identical at any --jobs and --shards value.
+// occupancy at 16 fixed strides of the horizon, read between
+// conservative windows. Everything is seeded via derive_stream_seed and
+// merged in circuit order, so aggregates are bit-identical at any
+// --jobs and --shards value.
 #pragma once
 
 #include <cstdint>
