@@ -56,9 +56,9 @@ int main(int argc, char** argv) {
   bench.gate("engines_consistent", bench.all_clean(),
              "every trial ok with consistent engines");
   const SweepPoint& serial = bench.points().front();
-  bench.info("nodes", static_cast<double>(cfg.fabric.regions *
-                                          cfg.fabric.region_rows *
-                                          cfg.fabric.region_cols));
+  const auto spec = exp::region_grid_spec(
+      cfg.fabric.regions, cfg.fabric.region_rows, cfg.fabric.region_cols);
+  bench.info("nodes", static_cast<double>(spec.node_count()));
   bench.info("regions", static_cast<double>(cfg.fabric.regions));
   bench.info("circuits", serial.mean("admitted"));
   bench.info("horizon_s", cfg.horizon.as_seconds());

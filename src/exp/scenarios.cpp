@@ -722,8 +722,7 @@ TimePoint establish_circuits(
     const EndpointId tail_ep{500 + i};
     const auto plan = net.establish_circuit(
         head, tail, head_ep, tail_ep, kCircuitFidelity,
-        circuit_options(requested_eer ? requested_eer(i) : 0.0), nullptr,
-        kEstablishSlot);
+        circuit_options(requested_eer(i)), nullptr, kEstablishSlot);
     if (plan.has_value()) {
       admitted(Circuit{i, plan->install.circuit_id, head, tail, head_ep,
                        tail_ep});

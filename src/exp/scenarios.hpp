@@ -240,10 +240,9 @@ struct Circuit {
 };
 
 /// Establishes one circuit per endpoint pair on the kEstablishSlot grid,
-/// starting now, each planned with circuit_options(requested_eer(index))
-/// (best effort when `requested_eer` is empty). Reports every admitted
-/// circuit to `admitted`, in endpoint order, runs the fabric to the end
-/// of the last slot and returns that instant.
+/// starting now, each planned with circuit_options(requested_eer(index)).
+/// Reports every admitted circuit to `admitted`, in endpoint order, runs
+/// the fabric to the end of the last slot and returns that instant.
 TimePoint establish_circuits(
     netsim::Network& net,
     const std::vector<std::pair<NodeId, NodeId>>& endpoints,

@@ -220,7 +220,8 @@ TrialResult traffic_trial(const TrafficConfig& cfg, std::uint64_t seed) {
 
   std::deque<Flow> flows;  // deque: handlers capture stable addresses
   const TimePoint start = establish_circuits(
-      net, built.endpoints, {}, [&](const Circuit& c) {
+      net, built.endpoints, [](std::size_t) { return 0.0; },
+      [&](const Circuit& c) {
         Flow& f = flows.emplace_back(Flow{
             .circuit = c,
             .sim = &net.node_sim(c.head),
