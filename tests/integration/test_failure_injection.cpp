@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "apps/chsh.hpp"
-#include "netmsg/transport.hpp"
 #include "netsim/network.hpp"
 #include "netsim/probe.hpp"
 
@@ -23,9 +22,27 @@ qnp::AppRequest keep_request(std::uint64_t id, std::uint64_t n) {
   return r;
 }
 
+/// Run the fabric in 250 ms strides, servicing the control plane between
+/// them (where dead-peer verdicts become teardowns and releases).
+void run_strides(Network& net, Duration total) {
+  auto& sim = net.sharded_sim();
+  const TimePoint end = sim.now() + total;
+  while (sim.now() < end) {
+    TimePoint next = sim.now() + 250_ms;
+    if (next > end) next = end;
+    sim.run_until(next);
+    net.service_control_plane();
+  }
+}
+
 TEST(FailureInjection, LivenessLossTearsDownTheCircuit) {
+  // Sec. 4.1's transport liveness, per adjacency: the reliable
+  // transport's dead-peer verdict on a silently partitioned hop tears the
+  // circuit down and gives its capacity back, with nobody announcing the
+  // loss.
   NetworkConfig config;
   config.seed = 91;
+  config.transport.enabled = true;
   auto net = make_chain(3, config, qhw::simulation_preset(),
                         qhw::FiberParams::lab(2.0));
   Probe head_probe(*net, NodeId{1}, EndpointId{10});
@@ -33,54 +50,26 @@ TEST(FailureInjection, LivenessLossTearsDownTheCircuit) {
   const auto plan = net->establish_circuit(
       NodeId{1}, NodeId{3}, EndpointId{10}, EndpointId{20}, 0.85);
   ASSERT_TRUE(plan.has_value());
+  const CircuitId circuit = plan->install.circuit_id;
 
-  // Per-hop transport liveness for the circuit.
-  netmsg::TransportConnection conn(net->node_sim(NodeId{1}), net->classical(),
-                                   plan->install.circuit_id, NodeId{1},
-                                   NodeId{2});
-  netmsg::TransportConnection peer(net->node_sim(NodeId{2}), net->classical(),
-                                   plan->install.circuit_id, NodeId{2},
-                                   NodeId{1});
-  // NOTE: the production wiring dispatches inbound KEEPALIVEs through the
-  // engines (which ignore them); here we listen directly for liveness.
-  bool torn_down = false;
-  conn.set_on_down([&] {
-    torn_down = true;
-    net->engine(NodeId{1}).teardown(plan->install.circuit_id,
-                                    "classical connectivity lost");
-  });
-  conn.enable_keepalive(50_ms, 175_ms);
-  peer.enable_keepalive(50_ms, 175_ms);
-  // The node classical handlers are owned by the engines, so inbound
-  // keepalives cannot reach these side transports; feed liveness
-  // explicitly while the link is administratively up.
-  bool link_up = true;
-  std::function<void()> feed = [&] {
-    if (link_up) {
-      conn.note_alive();
-      peer.note_alive();
-    }
-    if (!torn_down) net->node_sim(NodeId{1}).schedule(50_ms, feed);
-  };
-  net->node_sim(NodeId{1}).schedule(Duration::zero(), feed);
-
-  ASSERT_TRUE(net->engine(NodeId{1}).submit_request(plan->install.circuit_id,
+  ASSERT_TRUE(net->engine(NodeId{1}).submit_request(circuit,
                                                     keep_request(1, 10000)));
-  net->sharded_sim().run_until(net->sharded_sim().now() + 1_s);
-  EXPECT_FALSE(torn_down);
+  run_strides(*net, 1_s);
+  EXPECT_GT(head_probe.delivered_count(), 0u);
+  EXPECT_FALSE(head_probe.circuit_down());
+  EXPECT_FALSE(net->peer_declared_dead(NodeId{1}, NodeId{2}));
 
-  // Sever the classical channel: keepalives stop, liveness fires, the
-  // circuit is torn down and applications are notified.
-  link_up = false;
-  net->classical().set_link_up(NodeId{1}, NodeId{2}, false);
-  net->sharded_sim().run_until(net->sharded_sim().now() + 1_s);
-  EXPECT_TRUE(torn_down);
-  // Teardown messages to downstream nodes travel over still-working
-  // channels (2-3), so node 3 cleaned up; node 2 is unreachable from 1
-  // but reachable from... 1-2 is down: the teardown toward 2 was dropped.
-  // The head itself must be clean.
-  EXPECT_FALSE(net->engine(NodeId{1}).has_circuit(plan->install.circuit_id));
+  // Partition the 1-2 channel under the running request: the signalling
+  // toward the far side goes unacknowledged, the retransmission ladder
+  // runs out, and the verdict tears the circuit down like a lost link.
+  net->partition_link(NodeId{1}, NodeId{2});
+  run_strides(*net, 3_s);
+  EXPECT_TRUE(net->peer_declared_dead(NodeId{1}, NodeId{2}));
+  EXPECT_FALSE(net->engine(NodeId{1}).has_circuit(circuit));
   EXPECT_TRUE(head_probe.circuit_down());
+  ASSERT_TRUE(net->controller() != nullptr);
+  EXPECT_EQ(net->controller()->planned_circuits(), 0u);
+  EXPECT_TRUE(net->quiescent());
 }
 
 TEST(FailureInjection, InstallTimeoutTearsDownThePartialPrefix) {
