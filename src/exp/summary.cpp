@@ -67,13 +67,6 @@ const ReservoirSampler& SummaryAccumulator::reservoir(
   return it->second;
 }
 
-std::vector<std::string> SummaryAccumulator::reservoir_names() const {
-  std::vector<std::string> names;
-  names.reserve(reservoirs_.size());
-  for (const auto& [name, res] : reservoirs_) names.push_back(name);
-  return names;
-}
-
 std::vector<std::string> SummaryAccumulator::scalar_names() const {
   std::vector<std::string> names;
   names.reserve(scalars_.size());

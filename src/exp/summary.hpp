@@ -52,11 +52,7 @@ class SummaryAccumulator {
   /// (the `--jobs` invariance the digest checks).
   void pool_as_reservoir(const std::string& name,
                          std::size_t capacity = 4096);
-  bool has_reservoir(const std::string& name) const {
-    return reservoirs_.count(name) > 0;
-  }
   const ReservoirSampler& reservoir(const std::string& name) const;
-  std::vector<std::string> reservoir_names() const;
   /// Cross-trial values of a scalar metric (one entry per trial that set
   /// it). Asserts if the metric was never set.
   const SampleSet& scalar(const std::string& name) const;

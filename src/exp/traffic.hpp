@@ -74,7 +74,6 @@ class ArrivalProcess {
   /// the phase as of the last next_after() call.
   double rate_at(TimePoint t) const;
 
-  bool in_burst() const { return phase_burst_; }
   const MmppDebug& mmpp_debug() const { return debug_; }
 
  private:

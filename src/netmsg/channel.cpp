@@ -119,7 +119,6 @@ void ClassicalNetwork::send(NodeId from, NodeId to, const Message& msg) {
   ch->sent.fetch_add(1, kRelaxed);
   if (!ch->up) {
     ch->dropped_down.fetch_add(1, kRelaxed);
-    dropped_.fetch_add(1, kRelaxed);
     QNETP_LOG(debug, "netmsg") << "dropped " << message_name(msg) << " "
                                << from << "->" << to << " (link down)";
     return;
@@ -138,7 +137,6 @@ void ClassicalNetwork::send(NodeId from, NodeId to, const Message& msg) {
   }
   if (frng != nullptr && faults_.drop > 0.0 && frng->bernoulli(faults_.drop)) {
     ch->dropped_fault.fetch_add(1, kRelaxed);
-    dropped_.fetch_add(1, kRelaxed);
     QNETP_LOG(debug, "netmsg") << "dropped " << message_name(msg) << " "
                                << from << "->" << to << " (fault)";
     return;
@@ -172,19 +170,16 @@ void ClassicalNetwork::send(NodeId from, NodeId to, const Message& msg) {
     return extra;
   };
 
-  const TimePoint base =
-      src_sim.now() + ch->propagation + processing_delay_ + extra_delay_;
+  const TimePoint base = src_sim.now() + ch->propagation + extra_delay_;
 
   const auto transmit = [&](TimePoint deliver_at) {
     ch->bytes.fetch_add(wire.size(), kRelaxed);
-    bytes_.fetch_add(wire.size(), kRelaxed);
     auto deliver = [this, ch, from, to, wire] {
       const auto it = handlers_.find(to);
       if (it == handlers_.end()) {
         // The receiver tore down while the message was in flight: a drop,
         // not a programming error (transport liveness handles the rest).
         ch->dropped_no_handler.fetch_add(1, kRelaxed);
-        dropped_.fetch_add(1, kRelaxed);
         QNETP_LOG(debug, "netmsg") << "dropped message " << from << "->"
                                    << to << " (receiver gone)";
         return;
@@ -197,13 +192,11 @@ void ClassicalNetwork::send(NodeId from, NodeId to, const Message& msg) {
         // unwind the event loop. The reliable transport's retransmission
         // (or the application's own liveness) recovers.
         ch->decode_errors.fetch_add(1, kRelaxed);
-        dropped_.fetch_add(1, kRelaxed);
         QNETP_LOG(debug, "netmsg") << "dropped undecodable frame " << from
                                    << "->" << to << " (" << e.what() << ")";
         return;
       }
       ch->delivered.fetch_add(1, kRelaxed);
-      delivered_.fetch_add(1, kRelaxed);
       it->second(from, decoded);
     };
     if (sharded && dst_shard != src_shard) {

@@ -3,9 +3,9 @@
 // Every pair of adjacent quantum nodes also shares a classical channel
 // (Fig. 1). By default the simulation models reliable, in-order delivery
 // (the real system runs over TCP/QUIC, Sec. 4.1): messages are
-// serialized, delayed by propagation + per-message processing + a
-// configurable artificial extra delay (the knob behind Fig. 10c), and
-// handed to the receiver's handler. FIFO order is enforced per directed
+// serialized, delayed by propagation plus a configurable artificial
+// extra delay (the knob behind Fig. 10c), and handed to the receiver's
+// handler. FIFO order is enforced per directed
 // channel even when the delay is changed mid-flight. Channels can be
 // administratively taken down to exercise liveness handling.
 //
@@ -109,10 +109,6 @@ class ClassicalNetwork {
   /// a node may leave while packets are on the wire.
   void clear_handler(NodeId node);
 
-  /// Fixed per-message processing delay added at the receiver (models
-  /// stack traversal; part of the Fig. 10c "message delay" definition).
-  void set_processing_delay(Duration d) { processing_delay_ = d; }
-
   /// Artificial extra delay applied to every message on every channel
   /// (the Fig. 10c sweep variable).
   void set_extra_delay(Duration d) { extra_delay_ = d; }
@@ -126,7 +122,6 @@ class ClassicalNetwork {
   /// from profile.seed at the first faulty send, so the injected pattern
   /// depends only on (seed, channel, per-channel send index).
   void set_fault_profile(const FaultProfile& profile);
-  const FaultProfile& fault_profile() const { return faults_; }
 
   /// Route cross-shard deliveries through `sharded`'s mailboxes.
   /// `shard_of` must be a pure function of the node id, stable for the
@@ -149,16 +144,6 @@ class ClassicalNetwork {
   /// Counter snapshot. Call from the driver thread between windows (or
   /// any quiescent point): per-field reads are relaxed atomics.
   NetworkStats stats() const;
-
-  std::uint64_t messages_delivered() const {
-    return delivered_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t messages_dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t bytes_carried() const {
-    return bytes_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct DirectedChannel {
@@ -202,14 +187,10 @@ class ClassicalNetwork {
                      std::unique_ptr<DirectedChannel>, KeyHash>
       channels_;
   std::unordered_map<NodeId, Handler> handlers_;
-  Duration processing_delay_ = Duration::zero();
   Duration extra_delay_ = Duration::zero();
   FaultProfile faults_;
   des::ShardedSimulator* sharded_ = nullptr;
   std::function<std::size_t(NodeId)> shard_of_;
-  std::atomic<std::uint64_t> delivered_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<std::uint64_t> bytes_{0};
 };
 
 }  // namespace qnetp::netmsg

@@ -14,75 +14,6 @@ constexpr Duration kRtoCap = Duration::ms(160);
 
 }  // namespace
 
-TransportConnection::TransportConnection(des::Simulator& sim,
-                                         ClassicalNetwork& net,
-                                         CircuitId circuit, NodeId local,
-                                         NodeId peer)
-    : sim_(sim),
-      net_(net),
-      circuit_(circuit),
-      local_(local),
-      peer_(peer),
-      last_heard_(sim.now()) {
-  QNETP_ASSERT(circuit.valid());
-  QNETP_ASSERT(local.valid() && peer.valid() && local != peer);
-}
-
-TransportConnection::~TransportConnection() = default;
-
-void TransportConnection::send(const Message& msg) {
-  if (down_) return;  // connection declared dead: drop outbound traffic
-  net_.send(local_, peer_, msg);
-}
-
-void TransportConnection::on_receive(const Message& msg) {
-  note_alive();
-  if (std::holds_alternative<KeepaliveMsg>(msg)) return;
-  if (on_message_) on_message_(msg);
-}
-
-void TransportConnection::note_alive() { last_heard_ = sim_.now(); }
-
-void TransportConnection::enable_keepalive(Duration interval,
-                                           Duration timeout) {
-  QNETP_ASSERT(interval > Duration::zero());
-  QNETP_ASSERT(timeout > interval);
-  keepalive_enabled_ = true;
-  keepalive_interval_ = interval;
-  keepalive_timeout_ = timeout;
-  last_heard_ = sim_.now();
-  arm_probe();
-  arm_check();
-}
-
-void TransportConnection::arm_probe() {
-  if (!keepalive_enabled_ || down_) return;
-  probe_timer_ = des::ScopedTimer(sim_, keepalive_interval_, [this] {
-    send(KeepaliveMsg{circuit_});
-    arm_probe();
-  });
-}
-
-void TransportConnection::arm_check() {
-  if (!keepalive_enabled_ || down_) return;
-  check_timer_ = des::ScopedTimer(sim_, keepalive_interval_, [this] {
-    if (sim_.now() - last_heard_ >= keepalive_timeout_) {
-      down_ = true;
-      QNETP_LOG(info, "transport")
-          << circuit_ << " connection " << local_ << "<->" << peer_
-          << " declared down";
-      probe_timer_.cancel();
-      if (on_down_) on_down_();
-      return;
-    }
-    arm_check();
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Reliable signalling transport.
-// ---------------------------------------------------------------------------
-
 ReliableEndpoint::ReliableEndpoint(des::Simulator& sim, ClassicalNetwork& net,
                                    NodeId local, ReliableConfig config)
     : sim_(sim), net_(net), local_(local), config_(config) {

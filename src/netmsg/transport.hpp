@@ -1,24 +1,18 @@
-// Transport layers over the classical channels.
+// Reliable signalling transport over the classical channels.
 //
-// Two independent mechanisms live here:
-//
-//  * TransportConnection — per-circuit keepalive liveness ("Every VC
-//    establishes its own transport connection between every pair of
-//    nodes along its path ... The transport's liveness mechanism can
-//    then be used to monitor the classical channel liveness and tear
-//    down the VC if the connection goes down", Sec. 4.1). It assumes the
-//    underlying channel is reliable and adds failure detection only.
-//
-//  * ReliableEndpoint — a per-node reliable signalling transport for
-//    fabrics whose channels are NOT reliable (fault.hpp). Every protocol
-//    message toward a peer is wrapped in a sequence-numbered FrameMsg
-//    with a cumulative acknowledgement; the sender keeps unacknowledged
-//    frames and retransmits the oldest on a timer with exponential
-//    backoff up to a cap, the receiver filters duplicates and restores
-//    order through a bounded reorder buffer, and `max_retries` unanswered
-//    retransmissions yield a dead-peer verdict — the signal that lets
-//    the routing and engine layers treat a silent partition like an
-//    explicit link failure instead of waiting forever.
+// ReliableEndpoint is a per-node transport for fabrics whose channels are
+// NOT reliable (fault.hpp). Every protocol message toward a peer is
+// wrapped in a sequence-numbered FrameMsg with a cumulative
+// acknowledgement; the sender keeps unacknowledged frames and retransmits
+// the oldest on a timer with exponential backoff up to a cap, the
+// receiver filters duplicates and restores order through a bounded
+// reorder buffer, and `max_retries` unanswered retransmissions yield a
+// dead-peer verdict. That verdict is the liveness signal of Sec. 4.1
+// ("The transport's liveness mechanism can then be used to monitor the
+// classical channel liveness and tear down the VC if the connection goes
+// down"), kept per adjacency rather than per circuit: it lets the routing
+// and engine layers treat a silent partition like an explicit link
+// failure instead of waiting forever.
 #pragma once
 
 #include <cstdint>
@@ -30,63 +24,6 @@
 #include "netmsg/channel.hpp"
 
 namespace qnetp::netmsg {
-
-class TransportConnection {
- public:
-  using OnMessage = std::function<void(const Message&)>;
-  using OnDown = std::function<void()>;
-
-  /// A transport endpoint at `local` talking to `peer` for one circuit.
-  TransportConnection(des::Simulator& sim, ClassicalNetwork& net,
-                      CircuitId circuit, NodeId local, NodeId peer);
-  ~TransportConnection();
-  TransportConnection(const TransportConnection&) = delete;
-  TransportConnection& operator=(const TransportConnection&) = delete;
-
-  CircuitId circuit() const { return circuit_; }
-  NodeId peer() const { return peer_; }
-
-  void send(const Message& msg);
-
-  /// Deliver an inbound protocol message (invoked by the node's channel
-  /// dispatch). Keepalives are consumed internally.
-  void on_receive(const Message& msg);
-  /// Note inbound keepalive/traffic for liveness.
-  void note_alive();
-
-  void set_on_message(OnMessage fn) { on_message_ = std::move(fn); }
-  void set_on_down(OnDown fn) { on_down_ = std::move(fn); }
-
-  /// Enable keepalive probing: a probe is counted every `interval`; if no
-  /// traffic (data or probe) arrives within `timeout`, on_down fires.
-  void enable_keepalive(Duration interval, Duration timeout);
-
-  bool is_down() const { return down_; }
-
- private:
-  void arm_probe();
-  void arm_check();
-
-  des::Simulator& sim_;
-  ClassicalNetwork& net_;
-  CircuitId circuit_;
-  NodeId local_;
-  NodeId peer_;
-  OnMessage on_message_;
-  OnDown on_down_;
-
-  bool keepalive_enabled_ = false;
-  Duration keepalive_interval_;
-  Duration keepalive_timeout_;
-  TimePoint last_heard_;
-  bool down_ = false;
-  des::ScopedTimer probe_timer_;
-  des::ScopedTimer check_timer_;
-};
-
-// ---------------------------------------------------------------------------
-// Reliable signalling transport.
-// ---------------------------------------------------------------------------
 
 /// Knobs of the reliable signalling transport (one ReliableEndpoint per
 /// node; netsim::NetworkConfig carries one of these).

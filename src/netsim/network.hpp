@@ -173,7 +173,6 @@ class Network {
   /// convergence warm-up before the first establish_circuit. Call before
   /// running the simulator.
   void enable_linkstate(ctrl::LinkStateConfig config = {});
-  bool linkstate_enabled() const { return linkstate_enabled_; }
   /// The per-node router (enable_linkstate first).
   ctrl::LinkStateRouter& router(NodeId id);
   /// Router statistics summed over every node.

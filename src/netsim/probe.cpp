@@ -39,38 +39,10 @@ Probe::Probe(Network& net, NodeId node, EndpointId endpoint,
       net_.engine(node_).release_app_qubit(qubit);
     }
   };
-  handlers.on_complete = [this](CircuitId, RequestId id) {
-    completions_[id] = net_.node_sim(node_).now();
-  };
   handlers.on_circuit_down = [this](CircuitId, const std::string&) {
     circuit_down_ = true;
   };
   net_.engine(node_).register_endpoint(endpoint_, std::move(handlers));
-}
-
-std::optional<TimePoint> Probe::completion_time(RequestId id) const {
-  const auto it = completions_.find(id);
-  if (it == completions_.end()) return std::nullopt;
-  return it->second;
-}
-
-double Probe::mean_oracle_fidelity() const {
-  if (deliveries_.empty()) return 0.0;
-  double acc = 0.0;
-  for (const auto& r : deliveries_) acc += r.oracle_fidelity;
-  return acc / static_cast<double>(deliveries_.size());
-}
-
-std::vector<Probe::Record> Probe::deliveries_for(RequestId id) const {
-  std::vector<Record> result;
-  for (const auto& r : deliveries_) {
-    if (r.delivery.request == id) result.push_back(r);
-  }
-  std::sort(result.begin(), result.end(),
-            [](const Record& a, const Record& b) {
-              return a.delivery.sequence < b.delivery.sequence;
-            });
-  return result;
 }
 
 DualProbe::DualProbe(Network& net, NodeId head, EndpointId head_endpoint,

@@ -2,7 +2,7 @@
 //
 // Registers endpoint handlers with a node's QNP engine, records every
 // delivery (with the oracle fidelity evaluated at the delivery instant),
-// completions, expiries and tracking updates, and — unless configured
+// expiries, tracking updates and circuit loss, and — unless configured
 // otherwise — consumes delivered qubits immediately so communication
 // memory is recycled (the "measure directly" style consumption every
 // evaluation scenario in the paper uses).
@@ -38,17 +38,6 @@ class Probe {
     return tracking_updates_;
   }
   std::size_t expire_count() const { return expires_; }
-
-  /// Completion time per request (if completed).
-  std::optional<TimePoint> completion_time(RequestId id) const;
-  std::size_t completed_count() const { return completions_.size(); }
-
-  /// Average oracle fidelity of all recorded deliveries.
-  double mean_oracle_fidelity() const;
-
-  /// Deliveries for one request, in sequence order.
-  std::vector<Record> deliveries_for(RequestId id) const;
-
   bool circuit_down() const { return circuit_down_; }
 
  private:
@@ -58,7 +47,6 @@ class Probe {
   bool auto_consume_;
   std::vector<Record> deliveries_;
   std::vector<Record> tracking_updates_;
-  std::map<RequestId, TimePoint> completions_;
   std::size_t expires_ = 0;
   bool circuit_down_ = false;
 };

@@ -185,77 +185,4 @@ std::vector<double> ReservoirSampler::sorted_reservoir() const {
   return sorted;
 }
 
-void RateMeter::record(TimePoint t, double amount) {
-  total_ += amount;
-  if (events_.empty() || t >= events_.back().t) {
-    // The hot path: simulation time is monotone, so records append.
-    const double prev = events_.empty() ? pruned_cum_ : events_.back().cum;
-    events_.push_back(Entry{t, prev + amount});
-  } else {
-    // Out-of-order record: insert after any equal timestamps and rebuild
-    // the prefix sums from the insertion point (rare, callers record in
-    // simulation order).
-    const auto it = std::upper_bound(
-        events_.begin(), events_.end(), t,
-        [](TimePoint x, const Entry& e) { return x < e.t; });
-    const auto idx = static_cast<std::size_t>(it - events_.begin());
-    events_.insert(it, Entry{t, 0.0});
-    double cum = idx == 0 ? pruned_cum_ : events_[idx - 1].cum;
-    events_[idx].cum = cum + amount;
-    for (std::size_t i = idx + 1; i < events_.size(); ++i) {
-      events_[i].cum += amount;
-    }
-  }
-  if (retention_ != Duration::max()) {
-    // Amortise: erasing a vector prefix is O(n), so only prune once the
-    // expired prefix outgrows the live suffix. Memory stays within 2x of
-    // the retained window and record() is O(log n) amortised.
-    const TimePoint cutoff = events_.back().t - retention_;
-    if (events_.front().t < cutoff) {
-      const auto it = std::lower_bound(
-          events_.begin(), events_.end(), cutoff,
-          [](const Entry& e, TimePoint x) { return e.t < x; });
-      if (static_cast<std::size_t>(it - events_.begin()) >=
-          (events_.size() + 1) / 2) {
-        prune_before(cutoff);
-      }
-    }
-  }
-}
-
-void RateMeter::reset() {
-  events_.clear();
-  total_ = 0.0;
-  pruned_cum_ = 0.0;
-}
-
-void RateMeter::set_retention(Duration keep) {
-  QNETP_ASSERT(!keep.is_negative());
-  retention_ = keep;
-}
-
-void RateMeter::prune_before(TimePoint cutoff) {
-  const auto it = std::lower_bound(
-      events_.begin(), events_.end(), cutoff,
-      [](const Entry& e, TimePoint x) { return e.t < x; });
-  if (it == events_.begin()) return;
-  pruned_cum_ = (it - 1)->cum;
-  events_.erase(events_.begin(), it);
-}
-
-double RateMeter::cum_before(TimePoint x) const {
-  // Cumulative amount of all retained-or-pruned events with t < x.
-  const auto it = std::lower_bound(
-      events_.begin(), events_.end(), x,
-      [](const Entry& e, TimePoint t) { return e.t < t; });
-  return it == events_.begin() ? pruned_cum_ : (it - 1)->cum;
-}
-
-double RateMeter::rate_per_second(TimePoint window_start,
-                                  TimePoint window_end) const {
-  QNETP_ASSERT(window_end > window_start);
-  const double in_window = cum_before(window_end) - cum_before(window_start);
-  return in_window / (window_end - window_start).as_seconds();
-}
-
 }  // namespace qnetp

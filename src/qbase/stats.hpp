@@ -1,10 +1,9 @@
 // Statistics collectors used by the evaluation harness.
 //
-// The paper reports averages over repeated simulation runs, CDFs (Fig. 5),
-// percentile error bars (Fig. 9) and throughput over a horizon (Fig. 10).
-// These collectors cover all of that: exact sample-keeping percentile
-// estimation (sample counts here are small), running moments, rate meters,
-// and CDF extraction.
+// The paper reports averages over repeated simulation runs, CDFs (Fig. 5)
+// and percentile error bars (Fig. 9). These collectors cover that: exact
+// sample-keeping percentile estimation (sample counts here are small),
+// running moments and CDF extraction.
 #pragma once
 
 #include <cstddef>
@@ -14,7 +13,6 @@
 
 #include "qbase/assert.hpp"
 #include "qbase/rng.hpp"
-#include "qbase/units.hpp"
 
 namespace qnetp {
 
@@ -120,63 +118,6 @@ class ReservoirSampler {
   Rng rng_;
   RunningStats exact_;
   std::vector<double> reservoir_;
-};
-
-/// Counts events over a simulation horizon and reports a rate.
-///
-/// Events are kept time-sorted with a running prefix sum, so a window
-/// query is two binary searches (O(log n)) instead of a scan over the
-/// full history. With a retention bound set, events older than the bound
-/// are pruned as new ones arrive, keeping memory flat over long
-/// congestion runs; `count()` still reports the all-time total.
-class RateMeter {
- public:
-  void record(TimePoint t, double amount = 1.0);
-  void reset();
-  double count() const { return total_; }
-  /// Events per second between window_start and window_end; events outside
-  /// the window are excluded. Windows reaching before a prune cutoff see
-  /// only the retained events.
-  double rate_per_second(TimePoint window_start, TimePoint window_end) const;
-
-  /// Bound the retained history: as events arrive, events older than
-  /// `keep` before the newest one are dropped (amortised, so up to 2x
-  /// the window may be resident at a time). Choose `keep` at least as
-  /// large as the oldest window you will still query.
-  void set_retention(Duration keep);
-  /// Drop all retained events before `cutoff` (the all-time total is
-  /// unaffected).
-  void prune_before(TimePoint cutoff);
-  /// Number of events currently held (for memory accounting in tests).
-  std::size_t events_retained() const { return events_.size(); }
-
- private:
-  struct Entry {
-    TimePoint t;
-    double cum;  // cumulative amount since reset(), including pruned events
-  };
-  double cum_before(TimePoint x) const;
-
-  std::vector<Entry> events_;
-  double total_ = 0.0;
-  double pruned_cum_ = 0.0;  // cumulative amount of pruned events
-  Duration retention_ = Duration::max();
-};
-
-/// Helper for Duration-valued samples (records milliseconds internally).
-class DurationStats {
- public:
-  void add(Duration d) { ms_.add(d.as_ms()); }
-  std::size_t count() const { return ms_.count(); }
-  bool empty() const { return ms_.empty(); }
-  double mean_ms() const { return ms_.mean(); }
-  double quantile_ms(double q) const { return ms_.quantile(q); }
-  double min_ms() const { return ms_.min(); }
-  double max_ms() const { return ms_.max(); }
-  const SampleSet& samples() const { return ms_; }
-
- private:
-  SampleSet ms_;
 };
 
 }  // namespace qnetp

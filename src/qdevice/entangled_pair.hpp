@@ -93,10 +93,6 @@ class EntangledPair {
   /// Direct access for the swap contraction (state as of `now`).
   const qstate::TwoQubitState& state_at(TimePoint now);
 
-  /// Update announced bell index (used by entanglement tracking when a
-  /// correction is accounted classically rather than applied physically).
-  void set_announced(qstate::BellIndex b) { announced_ = b; }
-
   /// Scratch annotation for oracle-based protocols (the Fig. 10 baseline
   /// caches its keep/discard verdict here so both end-nodes of the pair
   /// apply the same — physically impossible, but that is the point of the

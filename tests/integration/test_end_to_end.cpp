@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "netsim/network.hpp"
-#include "netsim/oracle.hpp"
 #include "netsim/probe.hpp"
 
 namespace qnetp::netsim {

@@ -128,7 +128,7 @@ TEST_F(EgpTest, CorrelatorsAreUniqueAndIncreasing) {
 
 TEST_F(EgpTest, HigherFidelityMeansSlowerGeneration) {
   // Request F=0.8 then F=0.97: per-pair time must grow.
-  DurationStats low_f, high_f;
+  SampleSet low_f_ms, high_f_ms;
   for (int round = 0; round < 2; ++round) {
     LinkRequest req;
     req.label = LinkLabel{static_cast<std::uint64_t>(10 + round)};
@@ -141,16 +141,17 @@ TEST_F(EgpTest, HigherFidelityMeansSlowerGeneration) {
     TimePoint last_start = start;
     while (at_a_.size() < target && sim_.step()) {
       while (at_a_.size() > consumed_ && at_b_.size() > consumed_) {
-        ((round == 0) ? low_f : high_f).add(sim_.now() - last_start);
+        ((round == 0) ? low_f_ms : high_f_ms)
+            .add((sim_.now() - last_start).as_ms());
         last_start = sim_.now();
         consume(at_a_[consumed_], at_b_[consumed_]);
         ++consumed_;
       }
     }
   }
-  ASSERT_EQ(low_f.count(), 20u);
-  ASSERT_EQ(high_f.count(), 20u);
-  EXPECT_GT(high_f.mean_ms(), low_f.mean_ms() * 1.5);
+  ASSERT_EQ(low_f_ms.count(), 20u);
+  ASSERT_EQ(high_f_ms.count(), 20u);
+  EXPECT_GT(high_f_ms.mean(), low_f_ms.mean() * 1.5);
 }
 
 TEST_F(EgpTest, UnachievableFidelityFails) {

@@ -78,14 +78,13 @@ TEST_F(ChannelTest, FifoPreservedWhenDelayShrinksMidFlight) {
   EXPECT_GE(std::get<2>(received_at_2_[1]), std::get<2>(received_at_2_[0]));
 }
 
-TEST_F(ChannelTest, ExtraAndProcessingDelaysAdd) {
-  net_.set_processing_delay(5_us);
+TEST_F(ChannelTest, ExtraDelayAddsToPropagation) {
   net_.set_extra_delay(100_us);
   net_.send(NodeId{1}, NodeId{2}, expire(1));
   sim_.run();
   ASSERT_EQ(received_at_2_.size(), 1u);
   EXPECT_EQ(std::get<2>(received_at_2_[0]),
-            TimePoint::origin() + 10_us + 5_us + 100_us);
+            TimePoint::origin() + 10_us + 100_us);
 }
 
 TEST_F(ChannelTest, DownLinkDropsMessages) {
@@ -93,7 +92,7 @@ TEST_F(ChannelTest, DownLinkDropsMessages) {
   net_.send(NodeId{1}, NodeId{2}, expire(1));
   sim_.run();
   EXPECT_TRUE(received_at_2_.empty());
-  EXPECT_EQ(net_.messages_dropped(), 1u);
+  EXPECT_EQ(net_.stats().total.dropped(), 1u);
   net_.set_link_up(NodeId{1}, NodeId{2}, true);
   net_.send(NodeId{1}, NodeId{2}, expire(2));
   sim_.run();
@@ -108,8 +107,8 @@ TEST_F(ChannelTest, StatsCountBytesAndMessages) {
   net_.send(NodeId{1}, NodeId{2}, expire(1));
   net_.send(NodeId{2}, NodeId{1}, expire(2));
   sim_.run();
-  EXPECT_EQ(net_.messages_delivered(), 2u);
-  EXPECT_GT(net_.bytes_carried(), 0u);
+  EXPECT_EQ(net_.stats().total.delivered, 2u);
+  EXPECT_GT(net_.stats().total.bytes, 0u);
 }
 
 TEST_F(ChannelTest, HandlerRemovedMidFlightCountsDrop) {
@@ -119,8 +118,8 @@ TEST_F(ChannelTest, HandlerRemovedMidFlightCountsDrop) {
   net_.clear_handler(NodeId{2});
   sim_.run();
   EXPECT_TRUE(received_at_2_.empty());
-  EXPECT_EQ(net_.messages_dropped(), 1u);
-  EXPECT_EQ(net_.messages_delivered(), 0u);
+  EXPECT_EQ(net_.stats().total.dropped(), 1u);
+  EXPECT_EQ(net_.stats().total.delivered, 0u);
   // Reinstalling a handler resumes delivery.
   net_.set_handler(NodeId{2}, [this](NodeId from, const Message& m) {
     received_at_2_.emplace_back(from, m, sim_.now());

@@ -1,8 +1,7 @@
-// Unit tests for the network assembly, probes and oracle audit helpers.
+// Unit tests for the network assembly and probes.
 #include <gtest/gtest.h>
 
 #include "netsim/network.hpp"
-#include "netsim/oracle.hpp"
 #include "netsim/probe.hpp"
 
 namespace qnetp::netsim {
@@ -106,18 +105,6 @@ TEST(EstablishCircuit, TwoCircuitsCanCoexistOnOnePath) {
   EXPECT_NE(p1->install.circuit_id, p2->install.circuit_id);
   EXPECT_TRUE(net->engine(NodeId{2}).has_circuit(p1->install.circuit_id));
   EXPECT_TRUE(net->engine(NodeId{2}).has_circuit(p2->install.circuit_id));
-}
-
-TEST(OracleAudit, DetectsHalfPairsAndMismatches) {
-  // Synthetic probes: exercise the audit bookkeeping itself.
-  NetworkConfig config;
-  auto net = make_chain(2, config, qhw::simulation_preset(),
-                        qhw::FiberParams::lab(2.0));
-  Probe head(*net, NodeId{1}, EndpointId{10});
-  Probe tail(*net, NodeId{2}, EndpointId{20});
-  const AuditReport empty = audit_pair_consistency(head, tail);
-  EXPECT_EQ(empty.matched_pairs, 0u);
-  EXPECT_EQ(empty.half_pairs, 0u);
 }
 
 TEST(Quiescence, FreshNetworkIsQuiescent) {

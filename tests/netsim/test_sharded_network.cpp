@@ -136,11 +136,11 @@ TEST(ShardedNetwork, KeepaliveCrossesTheBridgeAtTwoShards) {
   config.sharding.shards = 2;
   auto net = two_region_chains().build(config);
   ASSERT_NE(net->shard_of(NodeId{3}), net->shard_of(NodeId{4}));
-  const auto before = net->classical().messages_delivered();
+  const auto before = net->classical().stats().total.delivered;
   net->classical().send(NodeId{3}, NodeId{4}, netmsg::KeepaliveMsg{CircuitId{1}});
   net->classical().send(NodeId{4}, NodeId{3}, netmsg::KeepaliveMsg{CircuitId{1}});
   net->sharded_sim().run_until(net->sharded_sim().now() + 10_ms);
-  EXPECT_EQ(net->classical().messages_delivered(), before + 2);
+  EXPECT_EQ(net->classical().stats().total.delivered, before + 2);
 }
 
 TEST(ShardedNetwork, IntraRegionCircuitsRunOnBothShards) {

@@ -5,8 +5,6 @@
 namespace qnetp {
 namespace {
 
-using namespace qnetp::literals;
-
 TEST(RunningStats, BasicMoments) {
   RunningStats s;
   for (double x : {1.0, 2.0, 3.0, 4.0, 5.0}) s.add(x);
@@ -81,93 +79,6 @@ TEST(SampleSet, InterleavedAddAndQuery) {
   EXPECT_DOUBLE_EQ(s.max(), 3.0);
 }
 
-TEST(RateMeter, WindowedRate) {
-  RateMeter m;
-  m.record(TimePoint::origin() + 1_s);
-  m.record(TimePoint::origin() + 2_s);
-  m.record(TimePoint::origin() + 3_s);
-  m.record(TimePoint::origin() + 9_s);
-  // Window [0, 4s): 3 events -> 0.75/s.
-  EXPECT_DOUBLE_EQ(
-      m.rate_per_second(TimePoint::origin(), TimePoint::origin() + 4_s),
-      0.75);
-  // Window [2s, 4s): 2 events -> 1/s.
-  EXPECT_DOUBLE_EQ(m.rate_per_second(TimePoint::origin() + 2_s,
-                                     TimePoint::origin() + 4_s),
-                   1.0);
-  EXPECT_DOUBLE_EQ(m.count(), 4.0);
-  m.reset();
-  EXPECT_DOUBLE_EQ(m.count(), 0.0);
-}
-
-TEST(RateMeter, WeightedAmounts) {
-  RateMeter m;
-  m.record(TimePoint::origin() + 1_s, 2.5);
-  m.record(TimePoint::origin() + 2_s, 0.5);
-  EXPECT_DOUBLE_EQ(
-      m.rate_per_second(TimePoint::origin(), TimePoint::origin() + 3_s),
-      1.0);
-}
-
-TEST(RateMeter, OutOfOrderRecordsStillCounted) {
-  RateMeter m;
-  m.record(TimePoint::origin() + 3_s);
-  m.record(TimePoint::origin() + 1_s);
-  m.record(TimePoint::origin() + 2_s);
-  EXPECT_DOUBLE_EQ(
-      m.rate_per_second(TimePoint::origin(), TimePoint::origin() + 4_s),
-      0.75);
-  EXPECT_DOUBLE_EQ(m.rate_per_second(TimePoint::origin() + 1_s,
-                                     TimePoint::origin() + 2_s),
-                   1.0);
-}
-
-TEST(RateMeter, RetentionBoundsMemory) {
-  RateMeter m;
-  m.set_retention(10_s);
-  for (int i = 0; i < 100000; ++i) {
-    m.record(TimePoint::origin() + Duration::ms(i));
-  }
-  // 100 s of events recorded, 10 s retained (amortised pruning keeps at
-  // most ~2x the window resident): history stays flat.
-  EXPECT_LE(m.events_retained(), 20002u);
-  EXPECT_DOUBLE_EQ(m.count(), 100000.0);  // all-time total unaffected
-  // Recent windows are exact: 1000 events/s.
-  EXPECT_DOUBLE_EQ(m.rate_per_second(TimePoint::origin() + 95_s,
-                                     TimePoint::origin() + 99_s),
-                   1000.0);
-}
-
-TEST(RateMeter, ManualPruneKeepsTotalsAndRecentWindows) {
-  RateMeter m;
-  for (int i = 0; i < 10; ++i) {
-    m.record(TimePoint::origin() + Duration::seconds(i));
-  }
-  m.prune_before(TimePoint::origin() + 5_s);
-  EXPECT_EQ(m.events_retained(), 5u);
-  EXPECT_DOUBLE_EQ(m.count(), 10.0);
-  EXPECT_DOUBLE_EQ(m.rate_per_second(TimePoint::origin() + 5_s,
-                                     TimePoint::origin() + 10_s),
-                   1.0);
-}
-
-TEST(RateMeter, QueryIsConsistentBeforeAndAfterPrune) {
-  RateMeter pruned;
-  RateMeter full;
-  for (int i = 0; i < 1000; ++i) {
-    const TimePoint t = TimePoint::origin() + Duration::ms(i * 7);
-    pruned.record(t, 0.5);
-    full.record(t, 0.5);
-  }
-  pruned.prune_before(TimePoint::origin() + 3_s);
-  // Windows entirely past the cutoff agree exactly with the unpruned
-  // meter.
-  EXPECT_DOUBLE_EQ(pruned.rate_per_second(TimePoint::origin() + 3_s,
-                                          TimePoint::origin() + 7_s),
-                   full.rate_per_second(TimePoint::origin() + 3_s,
-                                        TimePoint::origin() + 7_s));
-}
-
 TEST(BootstrapCi, ContainsMeanAndIsDeterministic) {
   std::vector<double> samples;
   Rng gen(404);
@@ -205,18 +116,6 @@ TEST(BootstrapCi, DegenerateSampleSet) {
   const auto ci = bootstrap_mean_ci(constant, 200, 0.05, rng);
   EXPECT_DOUBLE_EQ(ci.lo, 3.25);
   EXPECT_DOUBLE_EQ(ci.hi, 3.25);
-}
-
-TEST(DurationStats, RecordsMilliseconds) {
-  DurationStats d;
-  d.add(10_ms);
-  d.add(20_ms);
-  d.add(30_ms);
-  EXPECT_EQ(d.count(), 3u);
-  EXPECT_DOUBLE_EQ(d.mean_ms(), 20.0);
-  EXPECT_DOUBLE_EQ(d.min_ms(), 10.0);
-  EXPECT_DOUBLE_EQ(d.max_ms(), 30.0);
-  EXPECT_DOUBLE_EQ(d.quantile_ms(0.5), 20.0);
 }
 
 }  // namespace
