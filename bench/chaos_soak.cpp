@@ -59,9 +59,12 @@ exp::ChurnConfig loss_config(bool quick, double loss) {
   return cfg;
 }
 
+/// Regions of the multi-region fabric: the --shards bound.
+constexpr std::size_t kRegions = 4;
+
 exp::ChurnConfig regions_config(bool quick) {
   exp::ChurnConfig cfg = base_config(quick);
-  cfg.fabric.regions = 4;
+  cfg.fabric.regions = kRegions;
   cfg.fabric.region_rows = 2;
   cfg.fabric.region_cols = 3;
   cfg.n_circuits = 2;
@@ -97,7 +100,8 @@ std::vector<std::pair<double, double>> views(const SweepPoint& p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = BenchArgs::parse(argc, argv, "BENCH_chaos.json");
+  const BenchArgs args =
+      BenchArgs::parse(argc, argv, "BENCH_chaos.json", kRegions);
   GateBench bench("chaos_soak", args, args.quick ? 1 : 3, 9300,
                   "6 s horizon, jobs/shards {1,2}, loss sweep {0, 5%} "
                   "(full: 20 s horizon, {1,2,4} sweeps, loss "
@@ -108,7 +112,7 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> full{1, 2, 4};
   const auto jobs_sweep = sweep_values(args.quick ? small : full, args.jobs);
   const auto shards_sweep =
-      sweep_values(args.quick ? small : full, args.shards, 4);
+      sweep_values(args.quick ? small : full, args.shards);
   const std::vector<double> loss_sweep =
       args.quick ? std::vector<double>{0.0, 0.05}
                  : std::vector<double>{0.0, 0.02, 0.05, 0.12};

@@ -4,17 +4,17 @@
 //   --runs=N    repeat each configuration with N seeded trials
 //   --jobs=N    run trials on N worker threads (aggregates are
 //               bit-identical for any N; default 1)
-//   --shards=N  execution shards inside each trial's fabric, for the
-//               workloads that support conservative-parallel DES
-//               (aggregates are bit-identical for any N; default 1).
-//               Orthogonal to --jobs: jobs parallelize across trials,
-//               shards parallelize within one simulated fabric.
 //   --seed=S    base seed the per-trial seeds are derived from
 //   --quick     cut the sweep to a fast smoke-test subset (each binary
 //               prints exactly what was cut)
 //   --csv       emit CSV instead of aligned tables
-// and the binaries that write a JSON result also accept:
+// the binaries that write a JSON result also accept:
 //   --out=PATH  where the JSON goes (default: the binary's BENCH_*.json)
+// and the binaries with a multi-region fabric also accept:
+//   --shards=N  execution shards inside each trial's fabric, at most its
+//               region count (aggregates are bit-identical for any N;
+//               default 1). Orthogonal to --jobs: jobs parallelize
+//               across trials, shards parallelize within one fabric.
 #pragma once
 
 #include <cstdio>
@@ -48,11 +48,14 @@ struct BenchArgs {
   std::string out;
 
   /// Parse the shared flags. A binary that writes JSON passes its
-  /// `default_out` path, which also enables --out=PATH; for the others
-  /// --out is an unknown argument. Malformed values, including an empty
-  /// --out=, exit with status 2.
+  /// `default_out` path, which also enables --out=PATH; a binary with a
+  /// multi-region fabric passes its region count as `max_shards`, which
+  /// also enables --shards=N for N up to it. For the others each flag is
+  /// an unknown argument. Malformed values, including an empty --out=
+  /// and a --shards value above `max_shards`, exit with status 2.
   static BenchArgs parse(int argc, char** argv,
-                         const char* default_out = nullptr) {
+                         const char* default_out = nullptr,
+                         std::size_t max_shards = 0) {
     BenchArgs args;
     if (default_out != nullptr) args.out = default_out;
     const auto parse_u64 = [](const std::string& value, const char* flag,
@@ -84,9 +87,16 @@ struct BenchArgs {
       } else if (a.rfind("--jobs=", 0) == 0) {
         args.jobs =
             static_cast<std::size_t>(parse_u64(a.substr(7), "--jobs", 1));
-      } else if (a.rfind("--shards=", 0) == 0) {
+      } else if (max_shards > 0 && a.rfind("--shards=", 0) == 0) {
         args.shards =
             static_cast<std::size_t>(parse_u64(a.substr(9), "--shards", 1));
+        if (args.shards > max_shards) {
+          std::fprintf(stderr,
+                       "bad value for --shards: %zu (must be <= %zu, the "
+                       "fabric's region count)\n",
+                       args.shards, max_shards);
+          std::exit(2);
+        }
       } else if (a.rfind("--seed=", 0) == 0) {
         args.seed = parse_u64(a.substr(7), "--seed", 1);
       } else if (a == "--quick") {
@@ -102,9 +112,10 @@ struct BenchArgs {
       } else {
         std::fprintf(stderr, "unknown argument: %s\n", a.c_str());
         std::fprintf(stderr,
-                     "usage: %s [--runs=N] [--jobs=N] [--shards=N] "
-                     "[--seed=S] [--quick] [--csv]%s\n",
-                     argv[0], default_out != nullptr ? " [--out=PATH]" : "");
+                     "usage: %s [--runs=N] [--jobs=N] [--seed=S] [--quick] "
+                     "[--csv]%s%s\n",
+                     argv[0], default_out != nullptr ? " [--out=PATH]" : "",
+                     max_shards > 0 ? " [--shards=N]" : "");
         std::exit(2);
       }
     }
@@ -143,9 +154,7 @@ inline void note_quick_cut(const BenchArgs& args, std::size_t default_runs,
                            const std::string& what) {
   if (args.quick) {
     std::cout << "[--quick] reduced sweep: " << what << "; "
-              << args.trials(default_runs) << " trial(s) per point";
-    if (args.shards != 1) std::cout << "; --shards=" << args.shards;
-    std::cout << "\n";
+              << args.trials(default_runs) << " trial(s) per point\n";
   }
 }
 

@@ -26,7 +26,6 @@
 #include <cstdio>
 #include <deque>
 #include <functional>
-#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -81,19 +80,9 @@ inline Column speedup_column(const SweepPoint& serial) {
           }};
 }
 
-/// A sweep: `values` plus the --jobs or --shards flag value, sorted. A
-/// --shards value above `limit` (the fabric's region count, which shards
-/// fold onto) exits 2.
-inline std::vector<std::size_t> sweep_values(
-    std::vector<std::size_t> values, std::size_t flag_value,
-    std::size_t limit = std::numeric_limits<std::size_t>::max()) {
-  if (flag_value > limit) {
-    std::fprintf(stderr,
-                 "bad value for --shards: %zu (must be <= %zu, the "
-                 "fabric's region count)\n",
-                 flag_value, limit);
-    std::exit(2);
-  }
+/// A sweep: `values` plus the --jobs or --shards flag value, sorted.
+inline std::vector<std::size_t> sweep_values(std::vector<std::size_t> values,
+                                             std::size_t flag_value) {
   if (std::find(values.begin(), values.end(), flag_value) == values.end()) {
     values.push_back(flag_value);
   }

@@ -68,10 +68,13 @@ exp::ChurnConfig family_config(exp::TopologyFamily family, bool quick) {
   return cfg;
 }
 
+/// Regions of the multi-region fabric: the --shards bound.
+constexpr std::size_t kRegions = 4;
+
 exp::ChurnConfig regions_config(bool quick) {
   using K = exp::ChurnEventKind;
   exp::ChurnConfig cfg;
-  cfg.fabric.regions = 4;
+  cfg.fabric.regions = kRegions;
   cfg.fabric.region_rows = 2;
   cfg.fabric.region_cols = 3;
   cfg.n_circuits = 2;
@@ -105,7 +108,8 @@ exp::TrialRunner::TrialFn churn(exp::ChurnConfig cfg,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = BenchArgs::parse(argc, argv, "BENCH_routing.json");
+  const BenchArgs args =
+      BenchArgs::parse(argc, argv, "BENCH_routing.json", kRegions);
   GateBench bench("routing_churn", args, args.quick ? 1 : 3, 9100,
                   "grid family only, compressed 8 s timeline (full: "
                   "grid/ring/star + 4-region fabric, 30 s timelines)",
@@ -116,7 +120,7 @@ int main(int argc, char** argv) {
     families.push_back(exp::TopologyFamily::star);
   }
   const auto jobs_sweep = sweep_values({1, 2, 4}, args.jobs);
-  const auto shards_sweep = sweep_values({1, 2, 4}, args.shards, 4);
+  const auto shards_sweep = sweep_values({1, 2, 4}, args.shards);
 
   // Gate 1: per family, identical digests at every --jobs value.
   bool jobs_match = true;

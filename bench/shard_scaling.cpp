@@ -24,11 +24,13 @@ using namespace qnetp::literals;
 using namespace qnetp::bench;
 
 int main(int argc, char** argv) {
-  const BenchArgs args = BenchArgs::parse(argc, argv, "BENCH_shard.json");
+  constexpr std::size_t kRegions = 4;
+  const BenchArgs args =
+      BenchArgs::parse(argc, argv, "BENCH_shard.json", kRegions);
   // 4 x (3x9) = 108 nodes, 13 circuits per region: Poisson 4/s each,
   // 2 s budget, 5 s horizon.
   exp::TrafficConfig cfg;
-  cfg.fabric.regions = 4;
+  cfg.fabric.regions = kRegions;
   cfg.fabric.region_rows = args.quick ? 2 : 3;
   cfg.fabric.region_cols = args.quick ? 3 : 9;
   cfg.n_circuits = args.quick ? 2 : 13;
@@ -36,8 +38,7 @@ int main(int argc, char** argv) {
   cfg.latency_budget = 2_s;
   cfg.horizon = args.quick ? 1_s : 5_s;
   cfg.warmup = 0_s;
-  const auto shards_sweep =
-      sweep_values({1, 2, 4}, args.shards, cfg.fabric.regions);
+  const auto shards_sweep = sweep_values({1, 2, 4}, args.shards);
   GateBench bench("shard_scaling", args, args.quick ? 1 : 2, 7300,
                   "4 x (2x3) = 24 nodes, 8 circuits, 1 s horizon "
                   "(full: 4 x (3x9) = 108 nodes, 52 circuits, 5 s)",

@@ -8,17 +8,19 @@ namespace qnetp::bench {
 namespace {
 
 BenchArgs parse(std::initializer_list<const char*> cli,
-                const char* default_out = nullptr) {
+                const char* default_out = nullptr,
+                std::size_t max_shards = 0) {
   std::vector<char*> argv{const_cast<char*>("bench")};
   for (const char* a : cli) argv.push_back(const_cast<char*>(a));
   return BenchArgs::parse(static_cast<int>(argv.size()), argv.data(),
-                          default_out);
+                          default_out, max_shards);
 }
 
 TEST(BenchArgs, Defaults) {
   const BenchArgs args = parse({});
   EXPECT_EQ(args.runs, 0u);
   EXPECT_EQ(args.jobs, 1u);
+  EXPECT_EQ(args.shards, 1u);
   EXPECT_EQ(args.seed, 0u);
   EXPECT_FALSE(args.quick);
   EXPECT_FALSE(args.csv);
@@ -28,9 +30,12 @@ TEST(BenchArgs, Defaults) {
 
 TEST(BenchArgs, ParsesAllFlags) {
   const BenchArgs args =
-      parse({"--runs=12", "--jobs=8", "--seed=4242", "--quick", "--csv"});
+      parse({"--runs=12", "--jobs=8", "--shards=4", "--seed=4242", "--quick",
+             "--csv"},
+            "BENCH_x.json", 4);
   EXPECT_EQ(args.runs, 12u);
   EXPECT_EQ(args.jobs, 8u);
+  EXPECT_EQ(args.shards, 4u);
   EXPECT_EQ(args.seed, 4242u);
   EXPECT_TRUE(args.quick);
   EXPECT_TRUE(args.csv);
@@ -93,6 +98,20 @@ TEST(BenchArgsDeath, RejectsEmptyOut) {
 TEST(BenchArgsDeath, OutIsUnknownWithoutAJsonResult) {
   EXPECT_EXIT(parse({"--out=x"}), ::testing::ExitedWithCode(2),
               "unknown argument: --out=x");
+}
+
+TEST(BenchArgsDeath, ShardsNeedAMultiRegionFabric) {
+  // Without a region count the flag would be echoed and ignored.
+  EXPECT_EXIT(parse({"--shards=2"}), ::testing::ExitedWithCode(2),
+              "unknown argument: --shards=2");
+  EXPECT_EXIT(parse({"--shards=2"}, "BENCH_x.json"),
+              ::testing::ExitedWithCode(2), "unknown argument: --shards=2");
+  // With one, the region count bounds it.
+  EXPECT_EXIT(parse({"--shards=5"}, "BENCH_x.json", 4),
+              ::testing::ExitedWithCode(2),
+              "bad value for --shards: 5 \\(must be <= 4");
+  EXPECT_EXIT(parse({"--shards=0"}, "BENCH_x.json", 4),
+              ::testing::ExitedWithCode(2), "bad value for --shards");
 }
 
 TEST(BenchArgsDeath, RejectsUnknownArgument) {
