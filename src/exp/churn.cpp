@@ -9,6 +9,7 @@
 #include "netsim/network.hpp"
 #include "netsim/probe.hpp"
 #include "qbase/assert.hpp"
+#include "qbase/fnv.hpp"
 
 namespace qnetp::exp {
 
@@ -296,21 +297,15 @@ std::uint64_t view_digest(ctrl::LinkStateRouter& reference) {
   auto links = reference.view_links();
   std::sort(links.begin(), links.end(),
             [](const auto& x, const auto& y) { return x.id < y.id; });
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= static_cast<std::uint8_t>(v >> (8 * i));
-      h *= 1099511628211ull;
-    }
-  };
+  std::uint64_t h = kFnvOffsetBasis;
   for (const auto& l : links) {
-    mix(l.id.value());
-    mix(l.a.value());
-    mix(l.b.value());
+    fnv1a_u64(h, l.id.value());
+    fnv1a_u64(h, l.a.value());
+    fnv1a_u64(h, l.b.value());
     std::uint64_t cost_bits;
     static_assert(sizeof cost_bits == sizeof l.cost);
     std::memcpy(&cost_bits, &l.cost, sizeof cost_bits);
-    mix(cost_bits);
+    fnv1a_u64(h, cost_bits);
   }
   return h;
 }

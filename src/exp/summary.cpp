@@ -4,29 +4,22 @@
 #include <cstring>
 
 #include "qbase/assert.hpp"
+#include "qbase/fnv.hpp"
 
 namespace qnetp::exp {
 
 namespace {
-void fnv_bytes(std::uint64_t& h, const void* data, std::size_t len) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ull;
-  }
-}
-
 void fnv_double(std::uint64_t& h, double v) {
   std::uint64_t bits;
   std::memcpy(&bits, &v, sizeof bits);
-  fnv_bytes(h, &bits, sizeof bits);
+  fnv1a(h, &bits, sizeof bits);
 }
 
 void fnv_set(std::uint64_t& h, const std::string& name,
              const SampleSet& set) {
-  fnv_bytes(h, name.data(), name.size());
+  fnv1a(h, name.data(), name.size());
   const std::size_t n = set.count();
-  fnv_bytes(h, &n, sizeof n);
+  fnv1a(h, &n, sizeof n);
   // SampleSet sorts lazily on quantile queries, so hash a sorted copy:
   // the digest must not depend on which statistics were queried first.
   std::vector<double> sorted(set.samples());
@@ -55,8 +48,8 @@ void SummaryAccumulator::pool_as_reservoir(const std::string& name,
                    "metric already pooled exactly; register the reservoir "
                    "before the first add()");
   if (reservoirs_.count(name) > 0) return;  // idempotent
-  std::uint64_t name_hash = 0xCBF29CE484222325ull;
-  fnv_bytes(name_hash, name.data(), name.size());
+  std::uint64_t name_hash = kFnvOffsetBasis;
+  fnv1a(name_hash, name.data(), name.size());
   reservoirs_.emplace(name, ReservoirSampler(capacity, name_hash));
 }
 
@@ -101,8 +94,8 @@ ConfidenceInterval SummaryAccumulator::bootstrap_ci(const std::string& name,
   // samples (SampleSet sorts lazily on quantile queries): the CI must be
   // identical for the same data and seed regardless of platform or which
   // statistics were queried first.
-  std::uint64_t name_hash = 0xCBF29CE484222325ull;
-  fnv_bytes(name_hash, name.data(), name.size());
+  std::uint64_t name_hash = kFnvOffsetBasis;
+  fnv1a(name_hash, name.data(), name.size());
   Rng rng(derive_stream_seed(seed, name_hash));
   std::vector<double> sorted(scalar(name).samples());
   std::sort(sorted.begin(), sorted.end());
@@ -110,14 +103,14 @@ ConfidenceInterval SummaryAccumulator::bootstrap_ci(const std::string& name,
 }
 
 std::uint64_t SummaryAccumulator::digest() const {
-  std::uint64_t h = 0xCBF29CE484222325ull;  // FNV-1a offset basis
-  fnv_bytes(h, &trials_, sizeof trials_);
+  std::uint64_t h = kFnvOffsetBasis;
+  fnv1a(h, &trials_, sizeof trials_);
   for (const auto& [name, set] : scalars_) fnv_set(h, name, set);
   for (const auto& [name, set] : pooled_) fnv_set(h, name, set);
   for (const auto& [name, res] : reservoirs_) {
-    fnv_bytes(h, name.data(), name.size());
+    fnv1a(h, name.data(), name.size());
     const std::size_t n = res.count();
-    fnv_bytes(h, &n, sizeof n);
+    fnv1a(h, &n, sizeof n);
     if (!res.empty()) {
       fnv_double(h, res.mean());
       fnv_double(h, res.min());

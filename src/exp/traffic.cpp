@@ -1,6 +1,5 @@
 #include "exp/traffic.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <deque>
 #include <functional>
@@ -193,13 +192,6 @@ qnp::EndpointHandlers sink(netsim::Network& net, NodeId node) {
   return h;
 }
 
-double median_of(std::vector<double> xs) {
-  QNETP_ASSERT(!xs.empty());
-  std::sort(xs.begin(), xs.end());
-  const std::size_t n = xs.size();
-  return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
-}
-
 }  // namespace
 
 TrialResult traffic_trial(const TrafficConfig& cfg, std::uint64_t seed) {
@@ -349,8 +341,10 @@ TrialResult traffic_trial(const TrafficConfig& cfg, std::uint64_t seed) {
   double occ_steady = 0.0, occ_peak = 0.0, occ_early = 0.0, occ_late = 0.0;
   bool occ_flat = true;
   if (!occupancy.empty()) {
-    occ_steady = median_of(occupancy);
-    occ_peak = *std::max_element(occupancy.begin(), occupancy.end());
+    SampleSet occ;
+    for (const double v : occupancy) occ.add(v);
+    occ_steady = occ.median();
+    occ_peak = occ.max();
   }
   if (occupancy.size() >= 2) {
     const std::size_t half = occupancy.size() / 2;

@@ -4,6 +4,8 @@
 #include <type_traits>
 #include <utility>
 
+#include "qbase/fnv.hpp"
+
 namespace qnetp::netmsg {
 
 namespace {
@@ -15,14 +17,10 @@ namespace {
 // error, so the channel drops the frame and retransmission recovers.
 std::uint64_t frame_checksum(std::uint64_t seq, std::uint64_t ack,
                              const Bytes& payload) {
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::uint8_t byte) {
-    h ^= byte;
-    h *= 1099511628211ull;
-  };
-  for (int i = 0; i < 8; ++i) mix(static_cast<std::uint8_t>(seq >> (8 * i)));
-  for (int i = 0; i < 8; ++i) mix(static_cast<std::uint8_t>(ack >> (8 * i)));
-  for (const std::uint8_t byte : payload) mix(byte);
+  std::uint64_t h = kFnvOffsetBasis;
+  fnv1a_u64(h, seq);
+  fnv1a_u64(h, ack);
+  fnv1a(h, payload.data(), payload.size());
   return h;
 }
 
