@@ -5,9 +5,9 @@
 // (the real system runs over TCP/QUIC, Sec. 4.1): messages are
 // serialized, delayed by propagation plus a configurable artificial
 // extra delay (the knob behind Fig. 10c), and handed to the receiver's
-// handler. FIFO order is enforced per directed
-// channel even when the delay is changed mid-flight. Channels can be
-// administratively taken down to exercise liveness handling.
+// handler. FIFO order is enforced per directed channel even when the
+// delay is changed mid-flight. Channels can be administratively taken
+// down to exercise liveness handling.
 //
 // Fault injection: set_fault_profile() turns the fabric adversarial.
 // Each directed channel forks its own RNG stream from the profile seed
