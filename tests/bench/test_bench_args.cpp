@@ -101,7 +101,7 @@ TEST(BenchArgsDeath, OutIsUnknownWithoutAJsonResult) {
 }
 
 TEST(BenchArgsDeath, ShardsNeedAMultiRegionFabric) {
-  // Without a region count the flag would be echoed and ignored.
+  // Without a region count no fabric would read the flag.
   EXPECT_EXIT(parse({"--shards=2"}), ::testing::ExitedWithCode(2),
               "unknown argument: --shards=2");
   EXPECT_EXIT(parse({"--shards=2"}, "BENCH_x.json"),
