@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 namespace qnetp::ctrl {
 namespace {
 
@@ -126,6 +130,102 @@ TEST_F(ControllerTest, ShortCutoffOptionUsesGenerationQuantile) {
   // (Sec. 5.1: "a shorter cutoff allows the routing algorithm to ...
   // relax the fidelity requirements on each link").
   EXPECT_LE(short_plan->link_fidelity, long_plan->link_fidelity);
+}
+
+/// A chain 1-2-...-n of links with the given fibre lengths (m).
+Topology chain_topology(const std::vector<double>& lengths_m) {
+  Topology topo;
+  for (std::uint64_t i = 1; i <= lengths_m.size() + 1; ++i) {
+    topo.add_node(NodeId{i});
+  }
+  for (std::uint64_t i = 1; i <= lengths_m.size(); ++i) {
+    topo.add_link(TopologyLink{
+        LinkId{i}, NodeId{i}, NodeId{i + 1},
+        qhw::PhotonicLinkModel(qhw::simulation_preset(),
+                               qhw::FiberParams::lab(lengths_m[i - 1])),
+        1.0});
+  }
+  return topo;
+}
+
+/// Mean seconds for `link` to herald one pair at fidelity `f`.
+double mean_generation_s(const TopologyLink& link, double f) {
+  double alpha = 0.0;
+  EXPECT_TRUE(link.model.solve_alpha(f, &alpha));
+  return link.model.mean_generation_time(alpha).as_seconds();
+}
+
+TEST_F(ControllerTest, MaxEerIsTheClosedFormBound) {
+  // Admission's rate bound (Sec. 5): the bottleneck link's pair rate,
+  // halved, times the worst chance of pairing within the cutoff.
+  Controller c(topo_, qhw::simulation_preset());
+  const auto plan = c.plan_circuit(NodeId{1}, NodeId{3}, EndpointId{10},
+                                   EndpointId{20}, 0.85);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_DOUBLE_EQ(plan->max_eer, plan->max_lpr * 0.5 * plan->par_prob);
+  EXPECT_DOUBLE_EQ(plan->admitted_share, 1.0);
+  EXPECT_GT(plan->par_prob, 0.0);
+  EXPECT_LE(plan->par_prob, 1.0);
+  for (const auto& hop : plan->install.hops) {
+    EXPECT_DOUBLE_EQ(hop.circuit_max_eer, plan->max_eer);
+  }
+}
+
+TEST_F(ControllerTest, AsymmetricChainIsLimitedByItsSlowestLink) {
+  // The second link is 250x longer: more photon loss, slower heralding.
+  const Topology topo = chain_topology({2.0, 500.0});
+  Controller c(topo, qhw::simulation_preset());
+  const auto plan = c.plan_circuit(NodeId{1}, NodeId{3}, EndpointId{10},
+                                   EndpointId{20}, 0.8);
+  ASSERT_TRUE(plan.has_value());
+  const double fast_s =
+      mean_generation_s(*topo.link_between(NodeId{1}, NodeId{2}),
+                        plan->link_fidelity);
+  const double slow_s =
+      mean_generation_s(*topo.link_between(NodeId{2}, NodeId{3}),
+                        plan->link_fidelity);
+  ASSERT_GT(slow_s, fast_s);
+  EXPECT_DOUBLE_EQ(plan->max_lpr, 1.0 / slow_s);
+  // The pairing probability is the slow link's geometric tail within the
+  // cutoff window.
+  EXPECT_DOUBLE_EQ(plan->par_prob,
+                   1.0 - std::exp(-plan->cutoff.as_seconds() / slow_s));
+}
+
+TEST_F(ControllerTest, TightCutoffLowersPairingProbabilityAndBound) {
+  Controller c(topo_, qhw::simulation_preset());
+  const auto loose = c.plan_circuit(NodeId{1}, NodeId{3}, EndpointId{10},
+                                    EndpointId{20}, 0.85);
+  CircuitPlanOptions options;
+  options.cutoff_override = 1_ms;
+  const auto tight = c.plan_circuit(NodeId{1}, NodeId{3}, EndpointId{10},
+                                    EndpointId{20}, 0.85, options);
+  ASSERT_TRUE(loose && tight);
+  // A pair rarely waits out a decoherence-based cutoff; a 1 ms window
+  // (well under the mean generation time) rarely sees its partner.
+  EXPECT_GT(loose->par_prob, 0.99);
+  EXPECT_LT(tight->par_prob, 0.5);
+  EXPECT_LT(tight->max_eer, loose->max_eer);
+  EXPECT_DOUBLE_EQ(tight->max_eer,
+                   tight->max_lpr * 0.5 * tight->par_prob);
+}
+
+TEST_F(ControllerTest, EveryExtraHopLowersTheBound) {
+  const Topology topo = chain_topology({2.0, 2.0, 2.0, 2.0});
+  double prev_eer = std::numeric_limits<double>::infinity();
+  double prev_fidelity = 0.0;
+  for (std::uint64_t tail = 2; tail <= 5; ++tail) {
+    Controller c(topo, qhw::simulation_preset());
+    const auto plan = c.plan_circuit(NodeId{1}, NodeId{tail}, EndpointId{10},
+                                     EndpointId{20}, 0.7);
+    ASSERT_TRUE(plan.has_value()) << "hops " << tail - 1;
+    // Each extra swap demands better links, which herald more slowly, so
+    // the bound falls with every hop.
+    EXPECT_GT(plan->link_fidelity, prev_fidelity) << "hops " << tail - 1;
+    EXPECT_LT(plan->max_eer, prev_eer) << "hops " << tail - 1;
+    prev_fidelity = plan->link_fidelity;
+    prev_eer = plan->max_eer;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -279,6 +379,72 @@ TEST_F(AdmissionTest, CircuitSlotCapReroutesThenRejects) {
                               EndpointId{20}, 0.85, {}, &reason)
                    .has_value());
   EXPECT_NE(reason.find("admission"), std::string::npos) << reason;
+}
+
+TEST_F(AdmissionTest, GuaranteeAtTheBoundIsAdmittedAndAboveItRejected) {
+  const double cap = solo_capacity();
+  {
+    Controller c(topo_, qhw::simulation_preset());
+    CircuitPlanOptions options;
+    options.requested_eer = cap;
+    const auto plan = c.plan_circuit(NodeId{1}, NodeId{4}, EndpointId{10},
+                                     EndpointId{20}, 0.85, options);
+    ASSERT_TRUE(plan.has_value());
+    EXPECT_DOUBLE_EQ(plan->max_eer, cap);
+    EXPECT_NEAR(plan->admitted_share, 1.0, 1e-9);
+  }
+  Controller c(topo_, qhw::simulation_preset());
+  CircuitPlanOptions options;
+  options.requested_eer = 1.01 * cap;
+  options.max_paths = 1;
+  std::string reason;
+  EXPECT_FALSE(c.plan_circuit(NodeId{1}, NodeId{4}, EndpointId{10},
+                              EndpointId{20}, 0.85, options, &reason)
+                   .has_value());
+  EXPECT_NE(reason.find("exceeds capacity"), std::string::npos) << reason;
+}
+
+TEST_F(AdmissionTest, GuaranteeReservesTheInverseOfTheBound) {
+  const double cap = solo_capacity();
+  Controller c(topo_, qhw::simulation_preset());
+  CircuitPlanOptions options;
+  options.requested_eer = 0.3 * cap;
+  const auto plan = c.plan_circuit(NodeId{1}, NodeId{4}, EndpointId{10},
+                                   EndpointId{20}, 0.85, options);
+  ASSERT_TRUE(plan.has_value());
+  // Sustaining EER e takes a pair rate of 2e / par_prob on every link.
+  const double lpr_need = 2.0 * options.requested_eer / plan->par_prob;
+  for (const LinkId link : plan->links) {
+    EXPECT_DOUBLE_EQ(c.committed_lpr(link), lpr_need);
+  }
+  for (std::size_t i = 0; i + 1 < plan->install.hops.size(); ++i) {
+    EXPECT_DOUBLE_EQ(plan->install.hops[i].downstream_max_lpr, lpr_need);
+  }
+  EXPECT_DOUBLE_EQ(c.committed_lpr(LinkId{3}), 0.0);  // the unused detour
+}
+
+TEST_F(AdmissionTest, BestEffortIsGrantedTheResidualOfAGuarantee) {
+  const double cap = solo_capacity();
+  Controller c(topo_, qhw::simulation_preset());
+  CircuitPlanOptions options;
+  options.requested_eer = 0.4 * cap;
+  const auto guaranteed = c.plan_circuit(NodeId{1}, NodeId{4},
+                                         EndpointId{10}, EndpointId{20},
+                                         0.85, options);
+  ASSERT_TRUE(guaranteed.has_value());
+  const auto best_effort = c.plan_circuit(NodeId{1}, NodeId{4},
+                                          EndpointId{10}, EndpointId{20},
+                                          0.85);
+  ASSERT_TRUE(best_effort.has_value());
+  EXPECT_EQ(best_effort->path, guaranteed->path);
+  // The bound applied to the capacity the guarantee left free.
+  EXPECT_NEAR(best_effort->max_eer, 0.6 * cap, 1e-9 * cap);
+  EXPECT_NEAR(best_effort->admitted_share, 0.6, 1e-9);
+  // A best-effort circuit reserves nothing.
+  for (const LinkId link : best_effort->links) {
+    EXPECT_DOUBLE_EQ(c.committed_lpr(link),
+                     2.0 * options.requested_eer / guaranteed->par_prob);
+  }
 }
 
 TEST_F(ControllerTest, CutoffOverrideRespected) {
